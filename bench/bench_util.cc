@@ -154,11 +154,12 @@ Status WriteMapRmt(const std::string& path, const RobustnessMap& map) {
                                   map});
 }
 
-Status WriteWarmColdRmt(const std::string& path, const WarmColdMaps& maps) {
-  MapTile tile{FullGridSpec(maps.cold.space()), maps.cold.space(),
-               maps.cold};
+Status WriteWarmColdRmt(const std::string& path,
+                        const std::vector<RobustnessMap>& layers) {
+  const RobustnessMap& cold = layers.front();
+  MapTile tile{FullGridSpec(cold.space()), cold.space(), cold};
   tile.layer_names = StudyLayerNames(StudyKind::kWarmColdDelta);
-  tile.extra_layers = {maps.warm, maps.delta};
+  tile.extra_layers.assign(layers.begin() + 1, layers.end());
   return WriteMapTileFile(path, tile);
 }
 
@@ -193,28 +194,28 @@ void ExportMap(const std::string& figure_name, const RobustnessMap& map,
               base.c_str(), base.c_str(), base.c_str());
 }
 
-void ExportWarmColdMaps(const std::string& figure_name,
-                        const WarmColdMaps& maps) {
-  ExportMap(figure_name + "_cold", maps.cold);
-  ExportMap(figure_name + "_warm", maps.warm);
+void ExportWarmColdLayers(const std::string& figure_name,
+                          const std::vector<RobustnessMap>& layers) {
+  const RobustnessMap& delta = layers[2];
+  ExportMap(figure_name + "_cold", layers[0]);
+  ExportMap(figure_name + "_warm", layers[1]);
   std::string base = OutDir() + "/" + figure_name;
-  WarnArtifact(WriteWarmColdRmt(base + "_warmcold.rmt", maps),
+  WarnArtifact(WriteWarmColdRmt(base + "_warmcold.rmt", layers),
                base + "_warmcold.rmt");
-  if (maps.delta.space().is_2d()) {
+  if (delta.space().is_2d()) {
     ColorScale diverging = ColorScale::DivergingSeconds();
-    for (size_t pl = 0; pl < maps.delta.num_plans(); ++pl) {
+    for (size_t pl = 0; pl < delta.num_plans(); ++pl) {
       std::string path = base + "_delta_plan" + std::to_string(pl) + ".ppm";
-      WarnArtifact(WritePpm(path, maps.delta.space(),
-                            maps.delta.SecondsOfPlan(pl), diverging),
-                   path);
+      WarnArtifact(
+          WritePpm(path, delta.space(), delta.SecondsOfPlan(pl), diverging),
+          path);
     }
     WarnArtifact(WriteLegendPpm(base + "_delta_legend.ppm", diverging),
                  base + "_delta_legend.ppm");
   }
   std::printf("[artifacts] %s_warmcold.rmt%s written (per-layer csv: "
               "`map_cat --csv --layer=L`)\n",
-              base.c_str(),
-              maps.delta.space().is_2d() ? ", *_delta_plan*.ppm" : "");
+              base.c_str(), delta.space().is_2d() ? ", *_delta_plan*.ppm" : "");
 }
 
 void PrintCurveTable(const RobustnessMap& map) {

@@ -77,6 +77,20 @@ int main() {
   double serial_wall = serial_timer.Seconds();
   std::printf("serial single-process sweep: %.2fs\n\n", serial_wall);
 
+  // One plain-map sweep on the sharded-process backend.
+  const auto run_sharded = [&](const ShardedSweepOptions& opts,
+                               ShardedSweepStats* stats) {
+    SweepOutcome out =
+        SweepEngine::Run(env->ctx(), env->executor(),
+                         {.plans = plans,
+                          .space = space,
+                          .backend = BackendKind::kShardedProcess,
+                          .sharded = opts})
+            .ValueOrDie();
+    *stats = std::move(out.sharded_stats);
+    return std::move(out.layers.front());
+  };
+
   std::string last_dir;
   size_t last_tiles = 0;
   for (unsigned workers : {1u, 2u, 8u}) {
@@ -87,9 +101,7 @@ int main() {
     opts.verbose = scale.verbose;
     ShardedSweepStats stats;
     WallTimer timer;
-    auto merged = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    auto merged = run_sharded(opts, &stats);
     double wall = timer.Seconds();
     std::printf("%u worker process(es): %zu tiles, %.2fs (%.2fx, "
                 "balance %.2f)\n",
@@ -116,9 +128,7 @@ int main() {
     opts.num_tiles = last_tiles;
     opts.verbose = scale.verbose;
     ShardedSweepStats stats;
-    auto merged = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    auto merged = run_sharded(opts, &stats);
     Check(stats.tiles_reused == stats.tiles_total &&
               stats.tiles_computed == 0,
           "resume with all tiles valid recomputes nothing",
@@ -131,9 +141,7 @@ int main() {
       f.seekp(64);
       f.put('\x5a');
     }
-    auto resumed = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                   opts, &stats)
-                       .ValueOrDie();
+    auto resumed = run_sharded(opts, &stats);
     // Two pending tiles on an 8-worker box is exactly the straggler shape:
     // the splitter cuts the recomputation finer (one extra tile per
     // split), but only the two damaged tiles' cells are recomputed.
@@ -157,9 +165,7 @@ int main() {
     uopts.verbose = scale.verbose;
     uopts.cost_model = CostModelKind::kUniform;
     ShardedSweepStats ustats;
-    auto uniform = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                   uopts, &ustats)
-                       .ValueOrDie();
+    auto uniform = run_sharded(uopts, &ustats);
     Check(MapsBitIdentical(serial, uniform),
           "uniform cost model merges == serial", ustats.busy_balance_ratio(),
           "balance ratio (slowest/mean worker)");
@@ -192,9 +198,7 @@ int main() {
     mopts.verbose = scale.verbose;
     mopts.cost_model = CostModelKind::kMeasured;
     ShardedSweepStats mstats;
-    auto measured = RunShardedSweep(env->ctx(), env->executor(), plans, space,
-                                    mopts, &mstats)
-                        .ValueOrDie();
+    auto measured = run_sharded(mopts, &mstats);
     Check(MapsBitIdentical(serial, measured),
           "measured cost model merges == serial",
           mstats.busy_balance_ratio(),
@@ -214,23 +218,20 @@ int main() {
   // Study × backend composition: the sharded warm/cold/delta study — the
   // §3.2 buffer-contents study past one process for the first time. All
   // three merged layers must be bit-identical to the serial
-  // `RunWarmColdSweep` reference, and a resumed run must reuse every
+  // serial-backend reference, and a resumed run must reuse every
   // multi-layer tile.
   {
-    WarmupPolicy policy = WarmupPolicy::FractionResident(0.5);
-    SweepOptions serial_opts;
-    serial_opts.num_threads = 1;
-    serial_opts.verbose = scale.verbose;
-    auto reference = RunWarmColdSweep(env->ctx(), env->executor(), plans,
-                                      space, policy, serial_opts)
-                         .ValueOrDie();
-
     SweepRequest req;
     req.plans = plans;
     req.space = space;
     req.study = StudyKind::kWarmColdDelta;
+    req.backend = BackendKind::kSerial;
+    req.warm_policy = WarmupPolicy::FractionResident(0.5);
+    req.sweep.verbose = scale.verbose;
+    auto reference = SweepEngine::Run(env->ctx(), env->executor(), req)
+                         .ValueOrDie();
+
     req.backend = BackendKind::kShardedProcess;
-    req.warm_policy = policy;
     req.sharded.tile_dir = OutDir() + "/fig_sharded_warmcold";
     req.sharded.num_workers = scale.num_shards != 0 ? scale.num_shards : 4;
     req.sharded.num_tiles = 8;
@@ -238,10 +239,10 @@ int main() {
     req.sharded.verbose = scale.verbose;
     auto sharded = SweepEngine::Run(env->ctx(), env->executor(), req)
                        .ValueOrDie();
-    Check(MapsBitIdentical(reference.cold, sharded.cold()) &&
-              MapsBitIdentical(reference.warm, sharded.warm()) &&
-              MapsBitIdentical(reference.delta, sharded.delta()),
-          "sharded warm/cold/delta == serial RunWarmColdSweep", 3,
+    Check(MapsBitIdentical(reference.cold(), sharded.cold()) &&
+              MapsBitIdentical(reference.warm(), sharded.warm()) &&
+              MapsBitIdentical(reference.delta(), sharded.delta()),
+          "sharded warm/cold/delta == serial warm-cold study", 3,
           "all three merged layers bit-identical");
 
     req.sharded.resume = true;
@@ -250,12 +251,12 @@ int main() {
     Check(resumed.sharded_stats.tiles_reused ==
                   resumed.sharded_stats.tiles_total &&
               resumed.sharded_stats.tiles_computed == 0 &&
-              MapsBitIdentical(reference.delta, resumed.delta()),
+              MapsBitIdentical(reference.delta(), resumed.delta()),
           "warm/cold resume reuses every multi-layer tile",
           static_cast<double>(resumed.sharded_stats.tiles_reused),
           "three-layer tiles revalidated from disk");
 
-    ExportWarmColdMaps("fig_sharded_warmcold", reference);
+    ExportWarmColdLayers("fig_sharded_warmcold", reference.layers);
   }
 
   ExportMap("fig_sharded_sweep", serial);

@@ -26,7 +26,7 @@
 // version, fingerprint schema version (flagged when this build would
 // ignore it as stale), entry count, and a per-study entry breakdown.
 //
-// Reads any tile format version this build's reader accepts (v1/v2 files
+// Reads any tile format version this build's reader accepts (v2 files
 // are single-layer; v3 files carry one named layer per study output, e.g.
 // cold/warm/delta — select with --layer, default 0). A layer named "delta"
 // renders on the diverging blue/white/red scale, everything else on the

@@ -9,13 +9,12 @@
 // Usage:
 //   sweep_shard [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
 //               [--plans=all|smoke] [--workers=N] [--tiles=T]
-//               [--threads-per-worker=1] [--out-dir=shard_out]
+//               [--out-dir=shard_out]
 //               [--cost-model=uniform|analytic|measured]
 //               [--study=plain|warmcold] [--warmup=SPEC]
 //               [--worker=PATH]   # sweep_worker binary (default: next to me)
 //               [--fork]          # forked in-process workers, no exec
 //               [--serial]        # single-process reference sweep
-//               [--no-split]      # disable straggler-tile splitting
 //               [--no-resume] [--verbose]
 //               [--cache-dir=DIR] [--progressive=K]
 //               [--trace=FILE] [--telemetry=FILE]
@@ -103,12 +102,10 @@ int main(int argc, char** argv) {
   ShardGrid grid;
   int workers = 0;
   int tiles = 0;
-  int threads_per_worker = 1;
   int progressive = EnvInt("REPRO_PROGRESSIVE", 0, 0, 1 << 20);
   bool use_fork = false;
   bool serial = false;
   bool resume = true;
-  bool split_stragglers = true;
   bool verbose = EnvFlag("REPRO_VERBOSE");
   std::string out_dir = "shard_out";
   std::string worker_path = DefaultWorkerPath(argv[0]);
@@ -123,7 +120,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "workers", &workers) ||
         ParseIntFlag(arg, "tiles", &tiles) ||
-        ParseIntFlag(arg, "threads-per-worker", &threads_per_worker) ||
         ParseIntFlag(arg, "progressive", &progressive) ||
         ParseFlag(arg, "out-dir", &out_dir) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
@@ -141,8 +137,6 @@ int main(int argc, char** argv) {
       serial = true;
     } else if (arg == "--no-resume") {
       resume = false;
-    } else if (arg == "--no-split") {
-      split_stragglers = false;
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
@@ -235,35 +229,27 @@ int main(int argc, char** argv) {
   WallTimer timer;
   if (serial) {
     // The reference run the CI byte-diffs sharded merges against: the
-    // plain study through the serial legacy path, the warm-cold study
-    // through `RunWarmColdSweep` itself — the acceptance bar for the
-    // sharded backend is bit-identity to exactly these.
-    SweepOptions opts;
-    opts.num_threads = 1;
-    opts.verbose = verbose;
-    std::vector<RobustnessMap> layers;
-    if (study.value() == StudyKind::kWarmColdDelta) {
-      auto maps = RunWarmColdSweep(env->ctx(), env->executor(), plans, space,
-                                   warmup.value(), opts);
-      if (!maps.ok()) {
-        std::fprintf(stderr, "sweep_shard: %s\n",
-                     maps.status().ToString().c_str());
-        return 1;
-      }
-      layers.push_back(std::move(maps.value().cold));
-      layers.push_back(std::move(maps.value().warm));
-      layers.push_back(std::move(maps.value().delta));
-    } else {
+    // same study on the engine's serial backend — the acceptance bar for
+    // the sharded backend is bit-identity to exactly this.
+    SweepRequest req;
+    req.plans = plans;
+    req.space = space;
+    req.study = study.value();
+    req.backend = BackendKind::kSerial;
+    req.warm_policy = warmup.value();
+    req.sweep.verbose = verbose;
+    // A plain study measures under the context's policy; a warm-cold study
+    // keeps the context cold and warms only its warm layer.
+    if (study.value() == StudyKind::kPlainMap) {
       env->ctx()->warmup = warmup.value();
-      auto map = SweepStudyPlans(env->ctx(), env->executor(), plans, space,
-                                 opts);
-      if (!map.ok()) {
-        std::fprintf(stderr, "sweep_shard: %s\n",
-                     map.status().ToString().c_str());
-        return 1;
-      }
-      layers.push_back(std::move(map).value());
     }
+    auto outcome = SweepEngine::Run(env->ctx(), env->executor(), req);
+    if (!outcome.ok()) {
+      std::fprintf(stderr, "sweep_shard: %s\n",
+                   outcome.status().ToString().c_str());
+      return 1;
+    }
+    const std::vector<RobustnessMap>& layers = outcome.value().layers;
     Status s = WriteMergedArtifacts(out_dir, study.value(), layers);
     if (!s.ok()) {
       std::fprintf(stderr, "sweep_shard: %s\n", s.ToString().c_str());
@@ -286,12 +272,9 @@ int main(int argc, char** argv) {
   req.sharded.tile_dir = out_dir;
   req.sharded.num_workers = static_cast<unsigned>(workers < 0 ? 0 : workers);
   req.sharded.num_tiles = tiles <= 0 ? 0 : static_cast<size_t>(tiles);
-  req.sharded.threads_per_worker =
-      static_cast<unsigned>(threads_per_worker < 1 ? 1 : threads_per_worker);
   req.sharded.resume = resume;
   req.sharded.verbose = verbose;
   req.sharded.cost_model = cost_model.value();
-  req.sharded.split_stragglers = split_stragglers;
 
   // The cache outlives the request: the engine borrows it, main flushes
   // it after the merged artifacts are safely on disk.
@@ -344,8 +327,6 @@ int main(int argc, char** argv) {
     for (std::string& flag : GridArgs(grid)) {
       req.sharded.worker_command.push_back(std::move(flag));
     }
-    req.sharded.worker_command.push_back(
-        "--threads=" + std::to_string(req.sharded.threads_per_worker));
   }
 
   // Exec mode touches no cells in this process: a minimal simulated

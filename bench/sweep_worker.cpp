@@ -13,7 +13,7 @@
 //                [--rect=X0:X1:Y0:Y1] [--stride=K]
 //                [--study=plain|warmcold] [--warmup=SPEC]
 //                [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
-//                [--plans=all|smoke] [--threads=1] [--cache-dir=DIR]
+//                [--plans=all|smoke] [--cache-dir=DIR]
 //                [--trace=FILE] [--trace-epoch=NS] [--telemetry=FILE]
 //
 // --trace / --telemetry write this worker's spans and counters as sidecar
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   ShardGrid grid;
   int tiles = 0;
   int tile_id = -1;
-  int threads = 1;
   int stride = 1;
   std::string out;
   std::string rect;
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "tiles", &tiles) ||
         ParseIntFlag(arg, "tile", &tile_id) ||
-        ParseIntFlag(arg, "threads", &threads) ||
         ParseIntFlag(arg, "stride", &stride) ||
         ParseFlag(arg, "out", &out) || ParseFlag(arg, "rect", &rect) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
@@ -109,7 +107,7 @@ int main(int argc, char** argv) {
                  "[--study=plain|warmcold] [--warmup=SPEC] "
                  "[--row-bits=..] [--min-log2=..] "
                  "[--steps-per-octave=..] [--plans=all|smoke] "
-                 "[--threads=..] [--cache-dir=DIR]\n");
+                 "[--cache-dir=DIR]\n");
     return 2;
   }
   // Every remaining rejection leaves a PATH.err for the coordinator: a
@@ -199,11 +197,8 @@ int main(int argc, char** argv) {
   // however many workers race through the same directory.
   CellResultCache cache;
   if (!cache_dir.empty()) cache.Open(cache_dir);
-  SweepOptions opts;
-  opts.num_threads = static_cast<unsigned>(threads < 1 ? 1 : threads);
   Status s = ComputeAndWriteTile(env->ctx(), env->executor(), plans, space,
-                                 spec, out, opts, study.value(),
-                                 warmup.value(),
+                                 spec, out, study.value(), warmup.value(),
                                  cache_dir.empty() ? nullptr : &cache);
   if (!s.ok()) return Fail(out, s);
   // Sidecars are best-effort: a failed observability write degrades the

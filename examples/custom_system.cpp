@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "core/metrics.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "engine/plan_enumerator.h"
 #include "engine/system.h"
 #include "workload/distributions.h"
@@ -58,7 +58,9 @@ int main() {
     std::vector<PlanKind> kinds;
     for (const auto& p : plans) kinds.push_back(p.kind);
     RobustnessMap map =
-        SweepStudyPlans(&ctx, executor, kinds, space).ValueOrDie();
+        SweepEngine::Run(&ctx, executor, {.plans = kinds, .space = space})
+            .ValueOrDie()
+            .map();
     auto summaries = SummarizePlans(map, ToleranceSpec{0.01, 1.0});
     std::printf("%s (%zu plans):\n%s\n", sys.name.c_str(), kinds.size(),
                 RenderSummaryTable(summaries).c_str());

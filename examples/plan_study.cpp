@@ -10,7 +10,7 @@
 #include "core/metrics.h"
 #include "core/optimality.h"
 #include "core/relative.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "viz/ascii_heatmap.h"
 #include "viz/legend.h"
 #include "workload/dataset.h"
@@ -27,8 +27,10 @@ int main() {
       ParameterSpace::TwoD(Axis::Selectivity("selectivity(a)", -12, 0),
                            Axis::Selectivity("selectivity(b)", -12, 0));
   RobustnessMap map =
-      SweepStudyPlans(env->ctx(), env->executor(), AllStudyPlans(), space)
-          .ValueOrDie();
+      SweepEngine::Run(env->ctx(), env->executor(),
+                       {.plans = AllStudyPlans(), .space = space})
+          .ValueOrDie()
+          .map();
   RelativeMap rel = ComputeRelative(map);
 
   // Show the relative maps the paper contrasts: fragile vs. robust.

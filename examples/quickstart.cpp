@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common/format.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "viz/ascii_heatmap.h"
 #include "workload/dataset.h"
 
@@ -38,11 +38,12 @@ int main() {
   ParameterSpace space =
       ParameterSpace::OneD(Axis::Selectivity("selectivity(a)", -14, 0));
   RobustnessMap map =
-      SweepStudyPlans(env->ctx(), env->executor(),
-                      {PlanKind::kTableScan, PlanKind::kIndexANaive,
-                       PlanKind::kIndexAImproved},
-                      space)
-          .ValueOrDie();
+      SweepEngine::Run(env->ctx(), env->executor(),
+                       {.plans = {PlanKind::kTableScan, PlanKind::kIndexANaive,
+                                  PlanKind::kIndexAImproved},
+                        .space = space})
+          .ValueOrDie()
+          .map();
 
   std::vector<ChartSeries> series;
   for (size_t pl = 0; pl < map.num_plans(); ++pl) {

@@ -190,14 +190,11 @@ Result<MapTile> ReadMapTile(std::istream& is) {
 
   Cursor c(buf.data() + kVersionOffset + sizeof(uint32_t),
            payload_size - kVersionOffset - sizeof(uint32_t), kWhat);
-  // v2 carries the tile sweep's wall time right after the version; a v1
-  // file simply has no timing signal, which downstream cost models treat
-  // as "unmeasured", never as an error. v3 adds the layer count; earlier
-  // versions are by definition single-layer.
+  // The tile sweep's wall time sits right after the version (0 means
+  // "unmeasured" to downstream cost models). v3 adds the layer count; v2
+  // tiles are by definition single-layer.
   double wall_seconds = 0;
-  if (version >= 2) {
-    RM_RETURN_IF_ERROR(c.GetDouble(&wall_seconds));
-  }
+  RM_RETURN_IF_ERROR(c.GetDouble(&wall_seconds));
   uint64_t num_layers = 1;
   if (version >= 3) {
     RM_RETURN_IF_ERROR(c.GetU64(&num_layers));

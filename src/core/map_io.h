@@ -14,13 +14,14 @@ namespace robustmap {
 /// Current version of the binary tile format. Writers emit the *lowest*
 /// version that can carry the tile — v2 for a plain single-layer tile
 /// (keeping every pre-existing artifact byte-stable), v3 only when the tile
-/// carries layer names or more than one layer. Readers additionally accept
-/// every older version back to `kMinReadableMapTileFormatVersion` (missing
-/// fields default), and reject anything else outright — the format carries
+/// carries layer names or more than one layer. Readers accept every
+/// version from `kMinReadableMapTileFormatVersion` up (missing fields
+/// default), and reject anything else outright — the format carries
 /// measured data between processes (and potentially machines), so silent
 /// misinterpretation is never an acceptable failure mode.
 ///
-/// v1: magic, version, spec, axes, labels, cells, checksum.
+/// v1: magic, version, spec, axes, labels, cells, checksum (no longer
+///     read: every tile this project writes is v2 or later).
 /// v2: adds `wall_seconds` (the tile sweep's measured wall time)
 ///     immediately after the version field — the per-tile cost feedback
 ///     `CostModelKind::kMeasured` reschedules from.
@@ -28,7 +29,7 @@ namespace robustmap {
 ///     one named cell block per layer — the serialized form of a
 ///     multi-output study (e.g. cold/warm/delta from a warm-cold sweep).
 inline constexpr uint32_t kMapTileFormatVersion = 3;
-inline constexpr uint32_t kMinReadableMapTileFormatVersion = 1;
+inline constexpr uint32_t kMinReadableMapTileFormatVersion = 2;
 
 /// One serialized unit of a sharded sweep: one `RobustnessMap` per study
 /// output layer over a rectangular slice of a parent grid, together with
@@ -44,10 +45,10 @@ struct MapTile {
   RobustnessMap map;            ///< layer 0 over SliceSpace(parent_space, spec)
 
   /// Wall-clock seconds the sweep that produced this tile took; 0 when
-  /// unknown (a v1 file, or an artifact that was merged rather than
-  /// measured). Scheduling metadata only: it never participates in
-  /// bit-identity comparisons of the *map*, and merged/reference artifacts
-  /// write 0 so equal maps still serialize to equal bytes.
+  /// unknown (an artifact that was merged rather than measured).
+  /// Scheduling metadata only: it never participates in bit-identity
+  /// comparisons of the *map*, and merged/reference artifacts write 0 so
+  /// equal maps still serialize to equal bytes.
   double wall_seconds = 0;
 
   /// Layer names, one per layer when non-empty (e.g. {"cold", "warm",

@@ -45,8 +45,7 @@ Status EnsureDirectory(const std::string& path) {
 Status ComputeAndWriteTile(RunContext* ctx, const Executor& executor,
                            const std::vector<PlanKind>& plans,
                            const ParameterSpace& space, const TileSpec& tile,
-                           const std::string& path,
-                           const SweepOptions& sweep_opts, StudyKind study,
+                           const std::string& path, StudyKind study,
                            const WarmupPolicy& warm_policy,
                            CellResultCache* cell_cache) {
   auto sub = SliceSpace(space, tile);
@@ -55,9 +54,8 @@ Status ComputeAndWriteTile(RunContext* ctx, const Executor& executor,
   req.plans = plans;
   req.space = std::move(sub).value();
   req.study = study;
-  req.backend = BackendKind::kThreaded;
+  req.backend = BackendKind::kSerial;
   req.warm_policy = warm_policy;
-  req.sweep = sweep_opts;
   req.cell_cache = cell_cache;
   const int64_t start_ns = MonotonicNowNs();
   Result<SweepOutcome> outcome = [&] {
@@ -82,24 +80,6 @@ Status ComputeAndWriteTile(RunContext* ctx, const Executor& executor,
       "tile.serialize_seconds",
       static_cast<double>(MonotonicNowNs() - write_ns) * 1e-9);
   return written;
-}
-
-Result<RobustnessMap> RunShardedSweep(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const ShardedSweepOptions& opts,
-                                      ShardedSweepStats* stats) {
-  SweepRequest req;
-  req.plans = plans;
-  req.space = space;
-  req.study = StudyKind::kPlainMap;
-  req.backend = BackendKind::kShardedProcess;
-  req.sharded = opts;
-  auto out = SweepEngine::Run(ctx, executor, req);
-  RM_RETURN_IF_ERROR(out.status());
-  if (stats != nullptr) *stats = std::move(out.value().sharded_stats);
-  return std::move(out.value().layers.front());
 }
 
 }  // namespace robustmap

@@ -1,9 +1,9 @@
 #include "core/sweep.h"
 
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
-
-#include "core/sweep_engine.h"
 
 namespace robustmap {
 
@@ -11,37 +11,6 @@ unsigned ResolveParallelism(unsigned requested) {
   if (requested != 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-Result<RobustnessMap> RunSweep(const ParameterSpace& space,
-                               const std::vector<std::string>& plan_labels,
-                               const PointRunner& runner,
-                               const SweepOptions& opts) {
-  return SweepEngine::RunCells(space, plan_labels, runner, opts);
-}
-
-Result<RobustnessMap> ParallelRunSweep(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const RunContextFactory& factory, const ContextPointRunner& runner,
-    const SweepOptions& opts) {
-  return SweepEngine::RunCellsParallel(space, plan_labels, factory, runner,
-                                       opts);
-}
-
-Result<RobustnessMap> SweepStudyPlans(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const SweepOptions& opts) {
-  SweepRequest req;
-  req.plans = plans;
-  req.space = space;
-  req.study = StudyKind::kPlainMap;
-  req.backend = BackendKind::kThreaded;
-  req.sweep = opts;
-  auto out = SweepEngine::Run(ctx, executor, req);
-  RM_RETURN_IF_ERROR(out.status());
-  return std::move(out.value().layers.front());
 }
 
 Result<RobustnessMap> DiffMaps(const RobustnessMap& warm,
@@ -75,22 +44,21 @@ Result<RobustnessMap> DiffMaps(const RobustnessMap& warm,
   return delta;
 }
 
-Result<WarmColdMaps> RunWarmColdSweep(RunContext* ctx,
-                                      const Executor& executor,
-                                      const std::vector<PlanKind>& plans,
-                                      const ParameterSpace& space,
-                                      const WarmupPolicy& warm_policy,
-                                      const SweepOptions& opts) {
-  SweepRequest req;
-  req.plans = plans;
-  req.space = space;
-  req.study = StudyKind::kWarmColdDelta;
-  req.backend = BackendKind::kThreaded;
-  req.warm_policy = warm_policy;
-  req.sweep = opts;
-  auto out = SweepEngine::Run(ctx, executor, req);
-  RM_RETURN_IF_ERROR(out.status());
-  return std::move(out.value()).ToWarmColdMaps();
+Status CheckPlanCardinalities(const RobustnessMap& map) {
+  for (size_t plan = 1; plan < map.num_plans(); ++plan) {
+    for (size_t pt = 0; pt < map.space().num_points(); ++pt) {
+      const uint64_t want = map.At(0, pt).output_rows;
+      const uint64_t got = map.At(plan, pt).output_rows;
+      if (got != want) {
+        return Status::Internal(
+            map.plan_label(plan) + " returned " + std::to_string(got) +
+            " rows at point " + std::to_string(pt) + " where " +
+            map.plan_label(0) + " returned " + std::to_string(want) +
+            " — every plan answers the same query at a point");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace robustmap

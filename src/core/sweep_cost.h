@@ -38,10 +38,10 @@ struct TileCostRecord {
 /// Relative cost of every cell of a sweep grid, the one currency all
 /// scheduling layers trade in: the shard planner sizes tiles by it, the
 /// coordinator dispatches the heaviest pending tile first, and
-/// `ParallelRunSweep` batches cells into equal-cost blocks. Weights are
-/// relative — only ratios matter — and strictly positive, so every tile and
-/// block has nonzero cost and weighted partitions can never produce an
-/// empty band.
+/// `SweepEngine::RunCellsParallelIndexed` batches cells into equal-cost
+/// blocks. Weights are relative — only ratios matter — and strictly
+/// positive, so every tile and block has nonzero cost and weighted
+/// partitions can never produce an empty band.
 class CellCostModel {
  public:
   /// Every cell weighs 1 — reproduces uniform tiles exactly.
@@ -93,7 +93,7 @@ class CellCostModel {
 /// Builds the measured model from the tile files of a prior sweep: every
 /// `*.rmt` in `tile_dir` that parses, describes `space`, and carries a
 /// positive wall time becomes a record (anything else — other grids,
-/// v1 files with no timing, merged full-grid artifacts written with
+/// unreadable files, merged full-grid artifacts written with
 /// wall_seconds = 0 — is skipped). An unreadable or empty directory is not
 /// an error: the result is then the pure analytic prior, which is exactly
 /// what a first-ever run should schedule by.

@@ -81,30 +81,6 @@ void ObserveCell(const Measurement& m, double cell_seconds) {
 /// thread_local because parallel workers run interleaved.
 thread_local bool tl_cell_from_cache = false;
 
-/// RAII cell stopwatch shared by every cell loop: reads the wall clock at
-/// construction only when some sink is observing (an uninstrumented sweep
-/// never touches it), and `Observe` folds the finished cell into the
-/// telemetry. One helper instead of a timing boilerplate copy per loop;
-/// like everything observability, it reads the Measurement and never
-/// writes it.
-class CellTimer {
- public:
-  explicit CellTimer(bool observing)
-      : observing_(observing), start_ns_(observing ? MonotonicNowNs() : 0) {}
-
-  /// Records the cell (latency + I/O counters). Call once, after a
-  /// successful measurement; failed cells record nothing, as before.
-  void Observe(const Measurement& m) const {
-    if (!observing_) return;
-    ObserveCell(m,
-                static_cast<double>(MonotonicNowNs() - start_ns_) * 1e-9);
-  }
-
- private:
-  const bool observing_;
-  const int64_t start_ns_;
-};
-
 /// Per-view buffer-pool tallies for one sweep worker. `ColdStart` zeroes
 /// the pool statistics before each measurement, so reading them right
 /// after a cell yields that cell's counts; the worker accumulates across
@@ -190,6 +166,81 @@ class ProgressTracker {
   std::vector<size_t> per_plan_done_ GUARDED_BY(mu_);
 };
 
+/// The one per-cell body every cell loop runs — the serial loop, the
+/// round-robin schedule and each parallel worker: measure the cell, observe
+/// it unless it came from the cell-result cache, store it by (plan, point),
+/// report progress. The wall clock is read only when some sink is
+/// observing, and observing reads the Measurement, never writes it. Map
+/// writes are keyed by cell and the tracker serializes itself, so parallel
+/// workers share one loop.
+struct CellLoop {
+  RobustnessMap map;
+  ProgressTracker tracker;
+  const bool observing = Observing();
+
+  /// Measures (plan, point) through `runner` on `ctx`; `pool_view` tallies
+  /// that machine's pool for measured cells. A failed cell stores and
+  /// reports nothing.
+  Status Cell(const IndexedContextPointRunner& runner, RunContext* ctx,
+              PoolViewObserver* pool_view, size_t plan, size_t point) {
+    const int64_t start_ns = observing ? MonotonicNowNs() : 0;
+    auto m = runner(ctx, plan, point);
+    RM_RETURN_IF_ERROR(m.status());
+    if (!std::exchange(tl_cell_from_cache, false) && observing) {
+      ObserveCell(m.value(),
+                  static_cast<double>(MonotonicNowNs() - start_ns) * 1e-9);
+      pool_view->CellDone();
+    }
+    map.Set(plan, point, std::move(m).value());
+    tracker.CellDone(plan);
+    return Status::OK();
+  }
+};
+
+/// Every cell in the caller's thread on one machine (`ctx`; null for a
+/// runner that brings its own): plan-major — the reference order — or,
+/// for the deterministic shared schedule, point-major round-robin across
+/// plans, as if one query stream per plan took turns on the machine.
+/// Stops at the first failing cell.
+Result<RobustnessMap> RunSerialCells(
+    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
+    const SweepOptions& opts, RunContext* ctx, bool point_major,
+    const IndexedContextPointRunner& runner) {
+  RM_RETURN_IF_ERROR(ValidateSweepInputs(space, plan_labels));
+  TraceSpan span(point_major ? "sweep.round_robin" : "sweep.run_cells");
+  const size_t plans = plan_labels.size();
+  const size_t points = space.num_points();
+  CellLoop loop{RobustnessMap(space, plan_labels),
+                ProgressTracker(opts, plans, points)};
+  // The observer publishes from the machine's pool at scope exit, before
+  // the caller parks the machine back in its arena.
+  PoolViewObserver pool_view(ctx == nullptr ? nullptr : ctx->pool, 0);
+  for (size_t i = 0; i < plans * points; ++i) {
+    const size_t plan = point_major ? i % plans : i / points;
+    const size_t point = point_major ? i / plans : i % points;
+    RM_RETURN_IF_ERROR(loop.Cell(runner, ctx, &pool_view, plan, point));
+  }
+  return std::move(loop.map);
+}
+
+/// The one order-dependence test: a sweep whose cell values depend on
+/// execution history — prior-run warmth, a shared pool, or the
+/// deterministic shared schedule. Such cells are not a pure function of
+/// the cell, so they are never cached, sharded, refined progressively, or
+/// run in parallel where reproducibility matters.
+bool OrderDependent(const WarmupPolicy& warmup, const SweepOptions& opts) {
+  return warmup.is_order_dependent() || opts.shared_pool != nullptr ||
+         opts.deterministic_shared_schedule;
+}
+
+/// The request-level form: the context's policy, and the warm layer's for
+/// a warm-cold study.
+bool OrderDependent(const RunContext& ctx, const SweepRequest& req) {
+  return OrderDependent(ctx.warmup, req.sweep) ||
+         (req.study == StudyKind::kWarmColdDelta &&
+          req.warm_policy.is_order_dependent());
+}
+
 /// The paper's standard study sweep under one in-process backend choice:
 /// axes are predicate selectivities, plans are `PlanKind`s executed under
 /// `ctx`'s warmup policy. The serial path measures on `ctx` itself; a
@@ -239,11 +290,7 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
     queries.push_back(
         MakeStudyQuery(space.x_value(pt), space.y_value(pt), domain));
   }
-  if (cache != nullptr &&
-      (ctx->warmup.is_order_dependent() || opts.shared_pool != nullptr ||
-       opts.deterministic_shared_schedule)) {
-    cache = nullptr;
-  }
+  if (OrderDependent(ctx->warmup, opts)) cache = nullptr;
   std::vector<uint64_t> fps;  // [plan * points + point]
   if (cache != nullptr) {
     const uint64_t env = EnvironmentFingerprint(*ctx, domain);
@@ -256,42 +303,33 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
       }
     }
   }
-  // A hit marks the cell reused (the loops keep it out of every
-  // measurement-side sink) and counts under the cache.* namespace.
-  const auto lookup = [&](size_t plan, size_t point,
-                          Measurement* out) -> bool {
-    if (cache == nullptr) return false;
-    if (!cache->Lookup(fps[plan * points + point], out)) {
+  // The one cell runner of both branches. A cache hit marks the cell
+  // reused (the loops keep it out of every measurement-side sink) and
+  // counts under the cache.* namespace; a miss measures and publishes back.
+  const IndexedContextPointRunner measure =
+      [&](RunContext* run_ctx, size_t plan,
+          size_t point) -> Result<Measurement> {
+    if (cache != nullptr) {
+      Measurement hit;
+      if (cache->Lookup(fps[plan * points + point], &hit)) {
+        SweepTelemetry::Get().AddCounter("cache.hits", 1);
+        SweepTelemetry::Get().AddCounter("sweep.cells_reused", 1);
+        tl_cell_from_cache = true;
+        return hit;
+      }
       SweepTelemetry::Get().AddCounter("cache.misses", 1);
-      return false;
     }
-    SweepTelemetry::Get().AddCounter("cache.hits", 1);
-    SweepTelemetry::Get().AddCounter("sweep.cells_reused", 1);
-    tl_cell_from_cache = true;
-    return true;
-  };
-  const auto publish = [&](size_t plan, size_t point, const Measurement& m) {
-    if (cache == nullptr) return;
-    if (cache->Publish(fps[plan * points + point], study_name, m)) {
+    auto m = executor.Run(run_ctx, prepared[plan], queries[point]);
+    if (m.ok() && cache != nullptr &&
+        cache->Publish(fps[plan * points + point], study_name, m.value())) {
       SweepTelemetry::Get().AddCounter("cache.publishes", 1);
     }
+    return m;
   };
   if (ResolveParallelism(opts.num_threads) <= 1 &&
       opts.shared_pool == nullptr && !opts.deterministic_shared_schedule) {
-    PoolViewObserver pool_view(ctx->pool, 0);
-    return SweepEngine::RunCellsIndexed(
-        space, labels,
-        [&](size_t plan, size_t point) -> Result<Measurement> {
-          Measurement hit;
-          if (lookup(plan, point, &hit)) return hit;
-          auto m = executor.Run(ctx, prepared[plan], queries[point]);
-          if (m.ok()) {
-            pool_view.CellDone();
-            publish(plan, point, m.value());
-          }
-          return m;
-        },
-        opts);
+    return RunSerialCells(space, labels, opts, ctx, /*point_major=*/false,
+                          measure);
   }
   RunContextFactory local_factory(*ctx);
   RunContextFactory* factory =
@@ -305,17 +343,8 @@ Result<RobustnessMap> StudySweep(RunContext* ctx, const Executor& executor,
   // (the warm-cold study flips it between halves); machines must start
   // under the policy of *this* sweep.
   factory->set_warmup(ctx->warmup);
-  return SweepEngine::RunCellsParallelIndexed(
-      space, labels, *factory,
-      [&](RunContext* worker_ctx, size_t plan,
-          size_t point) -> Result<Measurement> {
-        Measurement hit;
-        if (lookup(plan, point, &hit)) return hit;
-        auto m = executor.Run(worker_ctx, prepared[plan], queries[point]);
-        if (m.ok()) publish(plan, point, m.value());
-        return m;
-      },
-      opts);
+  return SweepEngine::RunCellsParallelIndexed(space, labels, *factory,
+                                              measure, opts);
 }
 
 /// The warm-cold study: the same plans measured twice — once cold, once
@@ -368,9 +397,7 @@ Result<std::vector<RobustnessMap>> WarmColdLayers(
   // and stay parallel.
   ctx->warmup = warm_policy;
   SweepOptions warm_opts = opts;
-  if (warm_policy.is_order_dependent() || warm_opts.shared_pool != nullptr) {
-    warm_opts.num_threads = 1;
-  }
+  if (OrderDependent(warm_policy, warm_opts)) warm_opts.num_threads = 1;
   if (warm_policy.is_order_dependent()) {
     // Prior-run cells inherit pool state, so pin the sweep's starting
     // state: the first cell runs cold, every later cell inherits from its
@@ -661,20 +688,12 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
   if (opts.tile_dir.empty()) {
     return Status::InvalidArgument("sharded sweep needs a tile_dir");
   }
-  if (ctx->warmup.is_order_dependent() ||
-      (req.study == StudyKind::kWarmColdDelta &&
-       req.warm_policy.is_order_dependent())) {
+  if (OrderDependent(*ctx, req)) {
     return Status::InvalidArgument(
-        "sharded sweeps require an order-independent warmup policy; "
+        "sharded sweeps require an order-independent configuration: "
         "kPriorRun cells inherit cache state across the tile boundaries "
-        "sharding erases");
-  }
-  if (req.sweep.shared_pool != nullptr ||
-      req.sweep.deterministic_shared_schedule) {
-    return Status::InvalidArgument(
-        "sharded sweeps cannot share one buffer pool across processes; "
-        "shared-pool (and deterministic-schedule) studies are in-process "
-        "serial features");
+        "sharding erases, and shared-pool (or deterministic-schedule) "
+        "studies are in-process serial features");
   }
   const unsigned num_workers = ResolveParallelism(opts.num_workers);
   const size_t num_tiles =
@@ -893,7 +912,7 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
   // heaviest pending tile fits or is a single cell. Tiles are keyed by
   // cell ranges, so the merged bytes cannot change; only the checkpoint
   // granularity does.
-  if (opts.split_stragglers && num_workers > 1 && !todo.empty() &&
+  if (num_workers > 1 && !todo.empty() &&
       todo.size() < num_workers) {
     double pending_total = 0;
     for (const TileSpec& t : todo) pending_total += model.value().TileCost(t);
@@ -983,8 +1002,16 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
   std::vector<size_t> failed;
   size_t next = 0;
   size_t computed_done = 0;
-  SweepOptions worker_opts;
-  worker_opts.num_threads = std::max(1u, opts.threads_per_worker);
+  // On a coordinator error every in-flight worker is waited for before the
+  // error returns: an unreaped worker would go on writing into tile_dir
+  // after the call had reported failure.
+  const auto reap_in_flight = [&running] {
+    for (const auto& entry : running) {
+      while (::waitpid(entry.first, nullptr, 0) < 0 && errno == EINTR) {
+      }
+    }
+    running.clear();
+  };
   while (next < todo.size() || !running.empty()) {
     while (next < todo.size() && running.size() < num_workers) {
       const TileSpec& t = todo[next];
@@ -996,7 +1023,9 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
       std::remove(telemetry_sidecar(path).c_str());
       pid_t pid = ::fork();
       if (pid < 0) {
-        return Status::Internal("fork failed: " + ErrnoString(errno));
+        const int fork_errno = errno;
+        reap_in_flight();
+        return Status::Internal("fork failed: " + ErrnoString(fork_errno));
       }
       if (pid == 0) {
         // Worker. Either exec the external worker binary, or compute the
@@ -1064,8 +1093,8 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
         }
         if (SweepTelemetry::Get().enabled()) SweepTelemetry::Get().Reset();
         Status s = ComputeAndWriteTile(ctx, executor, req.plans, space, t,
-                                       path, worker_opts, req.study,
-                                       req.warm_policy, req.cell_cache);
+                                       path, req.study, req.warm_policy,
+                                       req.cell_cache);
         if (!s.ok()) {
           WriteTileErrFile(path, s);
           ::_exit(1);
@@ -1114,7 +1143,11 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
           continue;
         }
         if (r < 0) {
-          return Status::Internal("waitpid failed: " + ErrnoString(errno));
+          const int wait_errno = errno;
+          running.erase(it);
+          reap_in_flight();
+          return Status::Internal("waitpid failed: " +
+                                  ErrnoString(wait_errno));
         }
         const size_t idx = it->second.todo_index;
         const int64_t started_ns = it->second.started_ns;
@@ -1276,19 +1309,11 @@ RobustnessMap UpsampleNearest(const RobustnessMap& coarse,
 /// *when* cells were measured, never what.
 Result<SweepOutcome> RunProgressive(RunContext* ctx, const Executor& executor,
                                     const SweepRequest& req) {
-  if (ctx->warmup.is_order_dependent() ||
-      (req.study == StudyKind::kWarmColdDelta &&
-       req.warm_policy.is_order_dependent())) {
+  if (OrderDependent(*ctx, req)) {
     return Status::InvalidArgument(
-        "progressive sweeps require an order-independent warmup policy; "
-        "coarse-level reuse replays cells out of sweep order");
-  }
-  if (req.sweep.shared_pool != nullptr ||
-      req.sweep.deterministic_shared_schedule) {
-    return Status::InvalidArgument(
-        "progressive sweeps cannot reuse cells under a shared pool or a "
-        "deterministic shared schedule, whose cell values depend on "
-        "execution order");
+        "progressive sweeps require an order-independent configuration "
+        "(no prior-run warmth, shared pool, or deterministic shared "
+        "schedule): coarse-level reuse replays cells out of sweep order");
   }
   // Reuse across levels needs a cache; when the caller brought none, a
   // sweep-lifetime in-memory one serves.
@@ -1347,6 +1372,28 @@ Result<SweepOutcome> RunProgressive(RunContext* ctx, const Executor& executor,
   return out;
 }
 
+/// The in-process backends (serial, threaded) of `SweepEngine::Run`.
+Result<SweepOutcome> RunInProcessStudy(RunContext* ctx,
+                                       const Executor& executor,
+                                       const SweepRequest& req) {
+  SweepOptions opts = req.sweep;
+  if (req.backend == BackendKind::kSerial) opts.num_threads = 1;
+  SweepOutcome out;
+  out.study = req.study;
+  if (req.study == StudyKind::kWarmColdDelta) {
+    auto layers = WarmColdLayers(ctx, executor, req.plans, req.space,
+                                 req.warm_policy, opts, req.cell_cache);
+    RM_RETURN_IF_ERROR(layers.status());
+    out.layers = std::move(layers).value();
+    return out;
+  }
+  auto map = StudySweep(ctx, executor, req.plans, req.space, opts,
+                        StudyKindName(req.study), req.cell_cache);
+  RM_RETURN_IF_ERROR(map.status());
+  out.layers.push_back(std::move(map).value());
+  return out;
+}
+
 }  // namespace
 
 Result<StudyKind> StudyKindFromString(const std::string& name) {
@@ -1400,50 +1447,14 @@ const char* BackendKindName(BackendKind kind) {
   return "?";
 }
 
-Result<RobustnessMap> SweepEngine::RunCells(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const PointRunner& runner, const SweepOptions& opts) {
-  return RunCellsIndexed(
-      space, plan_labels,
-      [&](size_t plan, size_t point) {
-        return runner(plan, space.x_value(point), space.y_value(point));
-      },
-      opts);
-}
-
 Result<RobustnessMap> SweepEngine::RunCellsIndexed(
     const ParameterSpace& space, const std::vector<std::string>& plan_labels,
     const IndexedPointRunner& runner, const SweepOptions& opts) {
-  RM_RETURN_IF_ERROR(ValidateSweepInputs(space, plan_labels));
-  TraceSpan sweep_span("sweep.run_cells");
-  const bool observing = Observing();
-  RobustnessMap map(space, plan_labels);
-  ProgressTracker tracker(opts, plan_labels.size(), space.num_points());
-  for (size_t plan = 0; plan < plan_labels.size(); ++plan) {
-    for (size_t point = 0; point < space.num_points(); ++point) {
-      CellTimer timer(observing);
-      auto m = runner(plan, point);
-      RM_RETURN_IF_ERROR(m.status());
-      if (!std::exchange(tl_cell_from_cache, false)) {
-        timer.Observe(m.value());
-      }
-      map.Set(plan, point, std::move(m).value());
-      tracker.CellDone(plan);
-    }
-  }
-  return map;
-}
-
-Result<RobustnessMap> SweepEngine::RunCellsParallel(
-    const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-    const RunContextFactory& factory, const ContextPointRunner& runner,
-    const SweepOptions& opts) {
-  return RunCellsParallelIndexed(
-      space, plan_labels, factory,
-      [&](RunContext* ctx, size_t plan, size_t point) {
-        return runner(ctx, plan, space.x_value(point), space.y_value(point));
-      },
-      opts);
+  return RunSerialCells(
+      space, plan_labels, opts, /*ctx=*/nullptr, /*point_major=*/false,
+      [&](RunContext*, size_t plan, size_t point) {
+        return runner(plan, point);
+      });
 }
 
 Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
@@ -1454,14 +1465,11 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
   const unsigned num_threads = ResolveParallelism(opts.num_threads);
   const size_t points = space.num_points();
   const size_t cells = plan_labels.size() * points;
-  RobustnessMap map(space, plan_labels);
-  ProgressTracker tracker(opts, plan_labels.size(), points);
 
-  // The deterministic concurrent-contention schedule: serial execution in
-  // point-major round-robin across plans, as if one query stream per plan
-  // took turns on the machine. Shared-pool residency then evolves the same
-  // way on every run — unlike the true-parallel schedule below, whose
-  // interleaving (intentionally) depends on thread timing.
+  // The deterministic concurrent-contention schedule: the serial loop in
+  // point-major order on one machine. Shared-pool residency then evolves
+  // the same way on every run — unlike the true-parallel schedule below,
+  // whose interleaving (intentionally) depends on thread timing.
   if (opts.deterministic_shared_schedule) {
     if (opts.verbose) {
       std::fprintf(stderr,
@@ -1469,33 +1477,10 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
                    "schedule\n",
                    cells, plan_labels.size());
     }
-    TraceSpan schedule_span("sweep.round_robin");
-    const bool observing = Observing();
     std::unique_ptr<OwnedRunContext> machine = factory.Acquire();
-    Status loop_status = Status::OK();
-    {
-      // The observer publishes from the machine's pool at scope exit, so
-      // it must close before the machine is parked back in the arena.
-      PoolViewObserver pool_view(machine->ctx()->pool, 0);
-      for (size_t point = 0; point < points && loop_status.ok(); ++point) {
-        for (size_t plan = 0; plan < plan_labels.size(); ++plan) {
-          CellTimer timer(observing);
-          auto m = runner(machine->ctx(), plan, point);
-          if (!m.ok()) {
-            loop_status = m.status();
-            break;
-          }
-          if (!std::exchange(tl_cell_from_cache, false)) {
-            timer.Observe(m.value());
-            if (observing) pool_view.CellDone();
-          }
-          map.Set(plan, point, std::move(m).value());
-          tracker.CellDone(plan);
-        }
-      }
-    }
+    auto map = RunSerialCells(space, plan_labels, opts, machine->ctx(),
+                              /*point_major=*/true, runner);
     factory.Release(std::move(machine));
-    RM_RETURN_IF_ERROR(loop_status);
     return map;
   }
 
@@ -1564,9 +1549,10 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
     }
   };
 
+  CellLoop loop{RobustnessMap(space, plan_labels),
+                ProgressTracker(opts, plan_labels.size(), points)};
   auto work = [&](unsigned worker_index) {
     TraceSpan worker_span("sweep.worker");
-    const bool observing = Observing();
     std::unique_ptr<OwnedRunContext> machine = factory.Acquire();
     {
       // Closed before the machine is parked back in the arena: the
@@ -1582,20 +1568,9 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
           if (cell > first_failed_cell.load(std::memory_order_relaxed)) {
             continue;
           }
-          const size_t plan = cell / points;
-          const size_t point = cell % points;
-          CellTimer timer(observing);
-          auto m = runner(machine->ctx(), plan, point);
-          if (!m.ok()) {
-            record_error(cell, m.status());
-            continue;
-          }
-          if (!std::exchange(tl_cell_from_cache, false)) {
-            timer.Observe(m.value());
-            if (observing) pool_view.CellDone();
-          }
-          map.Set(plan, point, std::move(m).value());
-          tracker.CellDone(plan);
+          Status s = loop.Cell(runner, machine->ctx(), &pool_view,
+                               cell / points, cell % points);
+          if (!s.ok()) record_error(cell, s);
         }
       }
     }
@@ -1617,39 +1592,27 @@ Result<RobustnessMap> SweepEngine::RunCellsParallelIndexed(
     MutexLock lock(&err.mu);
     return err.first_error;
   }
-  return map;
+  return std::move(loop.map);
 }
 
 Result<SweepOutcome> SweepEngine::Run(RunContext* ctx,
                                       const Executor& executor,
                                       const SweepRequest& req) {
+  // A progressive sweep's levels are ordinary requests, each checked by
+  // its own Run.
   if (req.progressive.enabled()) {
     return RunProgressive(ctx, executor, req);
   }
-  if (req.backend == BackendKind::kShardedProcess) {
-    return RunShardedStudy(ctx, executor, req);
+  Result<SweepOutcome> out = req.backend == BackendKind::kShardedProcess
+                                 ? RunShardedStudy(ctx, executor, req)
+                                 : RunInProcessStudy(ctx, executor, req);
+  RM_RETURN_IF_ERROR(out.status());
+  // Checking every layer checks every stored one: the derived delta layer
+  // carries no cardinalities (all zero).
+  for (const RobustnessMap& layer : out.value().layers) {
+    RM_RETURN_IF_ERROR(CheckPlanCardinalities(layer));
   }
-  SweepOptions opts = req.sweep;
-  if (req.backend == BackendKind::kSerial) opts.num_threads = 1;
-  SweepOutcome out;
-  out.study = req.study;
-  switch (req.study) {
-    case StudyKind::kPlainMap: {
-      auto map = StudySweep(ctx, executor, req.plans, req.space, opts,
-                            StudyKindName(req.study), req.cell_cache);
-      RM_RETURN_IF_ERROR(map.status());
-      out.layers.push_back(std::move(map).value());
-      return out;
-    }
-    case StudyKind::kWarmColdDelta: {
-      auto layers = WarmColdLayers(ctx, executor, req.plans, req.space,
-                                   req.warm_policy, opts, req.cell_cache);
-      RM_RETURN_IF_ERROR(layers.status());
-      out.layers = std::move(layers).value();
-      return out;
-    }
-  }
-  return Status::InvalidArgument("unknown study kind");
+  return out;
 }
 
 }  // namespace robustmap

@@ -2,7 +2,6 @@
 #define ROBUSTMAP_CORE_SWEEP_ENGINE_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -52,12 +51,12 @@ enum class BackendKind {
 Result<BackendKind> BackendKindFromString(const std::string& name);
 const char* BackendKindName(BackendKind kind);
 
-/// Options for the sharded-process backend (also the configuration of the
-/// `RunShardedSweep` compatibility shim).
+/// Options for the sharded-process backend. Each worker process measures
+/// its tile serially; parallelism comes from `num_workers`.
 struct ShardedSweepOptions {
   /// Directory the per-tile checkpoint files live in; created if missing.
   /// Point a rerun at the same directory to resume a killed sweep.
-  std::string tile_dir;
+  std::string tile_dir{};
 
   /// Concurrent worker processes. 0 = one per hardware thread.
   unsigned num_workers = 0;
@@ -66,10 +65,6 @@ struct ShardedSweepOptions {
   /// 0 = one per worker. More tiles than workers smooths load imbalance and
   /// makes checkpoints finer-grained.
   size_t num_tiles = 0;
-
-  /// Sweep threads inside each worker process (multiplies with
-  /// `num_workers`; keep at 1 unless workers are spread across machines).
-  unsigned threads_per_worker = 1;
 
   /// When true (the default), tiles already present and valid in `tile_dir`
   /// are trusted and only missing or invalid ones are recomputed — the
@@ -90,7 +85,7 @@ struct ShardedSweepOptions {
   /// rectangle, and the study ride along so worker and coordinator can
   /// never compute different things under the same tile name), for
   /// coordinators whose workers must build their own environment.
-  std::vector<std::string> worker_command;
+  std::vector<std::string> worker_command{};
 
   /// How tiles are sized and dispatched. `kUniform` reproduces the
   /// pre-cost-layer equal-area tiles in shard-id order. `kAnalytic` (the
@@ -105,20 +100,6 @@ struct ShardedSweepOptions {
   /// re-balancing run, not a resume accelerator.) The merged map is
   /// bit-identical under every setting — scheduling never touches values.
   CostModelKind cost_model = CostModelKind::kAnalytic;
-
-  /// Straggler-tile splitting. When fewer tiles are pending than workers —
-  /// a resume recomputing two damaged tiles on an eight-worker box, or a
-  /// coarse partition — a pending tile whose modeled cost exceeds 1.25×
-  /// the pending average per worker is cut at its cost midpoint, repeatedly,
-  /// until the head of the queue fits; the pieces (fresh synthetic shard
-  /// ids, exact sub-rectangles) dispatch like any other tile. Splitting is
-  /// decided from the cost model *before* dispatch, never from wall-clock
-  /// observations mid-run, so a given directory state always produces the
-  /// same tiles, the same stats, and — tiles being keyed by cell ranges —
-  /// the same merged bytes. A later resume adopts any completed pieces it
-  /// finds covering a planned tile and recomputes only the uncovered
-  /// remainder.
-  bool split_stragglers = true;
 
   /// Internal to progressive sweeps: the request's `space` is the stride-k
   /// sublattice of the grid the worker flags describe (see
@@ -149,7 +130,7 @@ struct ProgressiveOptions {
   /// stride-1 level is the exact result. Use it to write per-level `.rmt`
   /// snapshots a viewer can tail.
   std::function<void(size_t stride, const std::vector<RobustnessMap>& layers)>
-      on_snapshot;
+      on_snapshot{};
 
   bool enabled() const { return initial_stride > 1; }
 };
@@ -158,11 +139,14 @@ struct ProgressiveOptions {
 /// scheduling-quality metrics `robustness_benchmark` records.
 struct ShardedSweepStats {
   size_t tiles_total = 0;
-  size_t tiles_reused = 0;    ///< valid checkpoints skipped (whole or as
-                              ///< adopted pieces covering a planned tile)
+  size_t tiles_reused = 0;    ///< tiles not dispatched: valid on-disk
+                              ///< checkpoints (whole or adopted pieces
+                              ///< covering a planned tile) plus tiles
+                              ///< materialized from the cell cache
   size_t tiles_computed = 0;  ///< recomputed by workers this run
-  size_t tiles_split = 0;     ///< straggler split operations (each turns
-                              ///< one pending tile into two)
+  size_t tiles_split = 0;     ///< straggler splits: pending tiles cut in
+                              ///< two at their cost midpoint because
+                              ///< workers would otherwise idle
   unsigned workers_spawned = 0;
 
   /// Wall-clock seconds each worker slot spent with a tile subprocess in
@@ -191,10 +175,12 @@ struct ShardedSweepStats {
 /// the repo — every fig bench, the scorecard, the shard coordinator, each
 /// worker's single tile — is one of these, so cost models, warmup
 /// policies, shared pools, deterministic schedules, and progress callbacks
-/// are applied by exactly one code path.
+/// are applied by exactly one code path. Every field has a default member
+/// initializer, so a request names only what differs from the defaults:
+/// `{.plans = p, .space = s, .backend = BackendKind::kSerial}`.
 struct SweepRequest {
-  std::vector<PlanKind> plans;
-  ParameterSpace space;
+  std::vector<PlanKind> plans{};
+  ParameterSpace space{};
   StudyKind study = StudyKind::kPlainMap;
   BackendKind backend = BackendKind::kThreaded;
 
@@ -202,17 +188,17 @@ struct SweepRequest {
   /// always `WarmupPolicy::Cold()`, and a plain study sweeps under the
   /// context's own `ctx->warmup`). Must be order-independent for the
   /// sharded backend.
-  WarmupPolicy warm_policy;
+  WarmupPolicy warm_policy{};
 
   /// Thread count, shared pool, deterministic schedule, verbosity, and the
   /// progress callback. The sharded backend takes its parallelism from
   /// `sharded` instead and rejects shared pools (one process cannot share
   /// cache residency with another).
-  SweepOptions sweep;
+  SweepOptions sweep{};
 
   /// Sharded-process backend configuration (ignored by the in-process
   /// backends).
-  ShardedSweepOptions sharded;
+  ShardedSweepOptions sharded{};
 
   /// Optional content-addressed cell-result cache ("never measure a cell
   /// twice"). Non-null: cells whose fingerprint is already stored skip
@@ -226,7 +212,7 @@ struct SweepRequest {
   CellResultCache* cell_cache = nullptr;
 
   /// Coarse-to-fine refinement schedule; disabled by default.
-  ProgressiveOptions progressive;
+  ProgressiveOptions progressive{};
 };
 
 /// The maps a sweep produced: `StudyLayerCount(study)` layers, in study
@@ -241,12 +227,6 @@ struct SweepOutcome {
   const RobustnessMap& cold() const { return layers[0]; }
   const RobustnessMap& warm() const { return layers[1]; }
   const RobustnessMap& delta() const { return layers[2]; }
-
-  /// Unpacks a kWarmColdDelta outcome into the legacy struct.
-  WarmColdMaps ToWarmColdMaps() && {
-    return WarmColdMaps{std::move(layers[0]), std::move(layers[1]),
-                        std::move(layers[2])};
-  }
 };
 
 /// The composable sweep engine: any study × any backend, one entry point.
@@ -255,44 +235,41 @@ struct SweepOutcome {
 /// no shared pool): every (study, backend) pair produces layers
 /// bit-identical to the serial reference of the same study — the backend
 /// axis only ever changes wall-clock time. Order-dependent configurations
-/// are confined to the in-process backends (serialized as the legacy
-/// entry points always did) and rejected with `InvalidArgument` by the
-/// sharded backend.
+/// are confined to the in-process backends (serialized) and rejected with
+/// `InvalidArgument` by the sharded backend and by progressive sweeps.
+/// Every stored layer of every backend is checked for the cross-plan
+/// cardinality invariant (`CheckPlanCardinalities`) before it is returned;
+/// a violation is an `Internal` error naming the plan and point.
 class SweepEngine {
  public:
-  /// Executes `req`. The legacy entry points (`SweepStudyPlans`,
-  /// `RunWarmColdSweep`, `RunShardedSweep`) are thin shims over this.
+  /// Executes `req`. One-line studies read
+  /// `SweepEngine::Run(ctx, executor, {.plans = p, .space = s})`.
   static Result<SweepOutcome> Run(RunContext* ctx, const Executor& executor,
                                   const SweepRequest& req);
 
   /// The generic serial cell loop (the engine's substrate, exposed for
   /// sweeps over arbitrary runners — ablations mapping memory budgets or
-  /// spill behavior rather than study plans). `RunSweep` shims here; the
-  /// value-based form adapts onto `RunCellsIndexed`.
-  static Result<RobustnessMap> RunCells(
-      const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-      const PointRunner& runner, const SweepOptions& opts = {});
-
-  /// The core serial loop: the runner receives the grid-point index, so
-  /// per-point state precomputed once per sweep (bound queries, prepared
-  /// plans) is a table lookup per cell, not a rebuild.
+  /// spill behavior rather than study plans). The runner receives the
+  /// grid-point index, so per-point state precomputed once per sweep
+  /// (bound queries, prepared plans) is a table lookup per cell, not a
+  /// rebuild. An empty plan list or an empty grid is an `InvalidArgument`
+  /// here and in `RunCellsParallelIndexed` — a sweep over nothing is a
+  /// caller bug, not a map.
   static Result<RobustnessMap> RunCellsIndexed(
       const ParameterSpace& space, const std::vector<std::string>& plan_labels,
       const IndexedPointRunner& runner, const SweepOptions& opts = {});
 
-  /// The generic thread-pool cell loop over per-worker simulated machines
-  /// built by `factory`; bit-identical to `RunCells` at any thread count.
-  /// `ParallelRunSweep` shims here; the value-based form adapts onto
-  /// `RunCellsParallelIndexed`.
-  static Result<RobustnessMap> RunCellsParallel(
-      const ParameterSpace& space, const std::vector<std::string>& plan_labels,
-      const RunContextFactory& factory, const ContextPointRunner& runner,
-      const SweepOptions& opts = {});
-
-  /// The core parallel loop (index-based, see `RunCellsIndexed`). Worker
-  /// machines are drawn from the factory's arena (`Acquire`/`Release`), so
-  /// repeated sweeps over one factory recycle their simulated machines
-  /// instead of rebuilding them.
+  /// The generic thread-pool cell loop over `opts.num_threads` workers,
+  /// each measuring on its own simulated machine drawn from the factory's
+  /// arena (`Acquire`/`Release`), so repeated sweeps over one factory
+  /// recycle their simulated machines instead of rebuilding them. Cells
+  /// are claimed from a shared queue in cost-weighted blocks (contiguous
+  /// runs of the serial order sized to carry ~equal analytic cost) and
+  /// written into the map by (plan, point) index, so the map is
+  /// bit-identical to `RunCellsIndexed`'s at any thread count. On error,
+  /// the Status of the first failing cell in serial plan-major order is
+  /// returned, deterministically. With `opts.deterministic_shared_schedule`
+  /// every cell runs in the caller's thread, point-major, on one machine.
   static Result<RobustnessMap> RunCellsParallelIndexed(
       const ParameterSpace& space, const std::vector<std::string>& plan_labels,
       const RunContextFactory& factory, const IndexedContextPointRunner& runner,

@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/sweep_engine.h"
 #include "core/sweep_telemetry.h"
 #include "testing/map_expect.h"
 #include "testing/test_env.h"
@@ -28,6 +30,30 @@ ParameterSpace SmallGrid() {
                               Axis::Selectivity("b", -5, 0));
 }
 
+/// The serial-backend reference map of `StudySubset()` over `space`.
+RobustnessMap SerialMap(RunContext* ctx, const Executor& executor,
+                        const ParameterSpace& space) {
+  return SweepEngine::Run(ctx, executor,
+                          {.plans = StudySubset(),
+                           .space = space,
+                           .backend = BackendKind::kSerial})
+      .ValueOrDie()
+      .map();
+}
+
+/// A plain-map sweep of `plans` over `space` on the sharded-process
+/// backend.
+Result<SweepOutcome> Sharded(RunContext* ctx, const Executor& executor,
+                             const ParameterSpace& space,
+                             const ShardedSweepOptions& opts,
+                             std::vector<PlanKind> plans = StudySubset()) {
+  return SweepEngine::Run(ctx, executor,
+                          {.plans = std::move(plans),
+                           .space = space,
+                           .backend = BackendKind::kShardedProcess,
+                           .sharded = opts});
+}
+
 /// A unique checkpoint directory per test case, so resume state never
 /// bleeds between tests (or between repeated runs of one test binary).
 std::string FreshTileDir(const std::string& name) {
@@ -44,21 +70,16 @@ TEST(RunShardedSweepTest, MergedMapBitIdenticalAcrossWorkerCounts) {
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+  auto reference = SerialMap(env.ctx(), executor, space);
 
   for (unsigned workers : {1u, 2u, 8u}) {
     ShardedSweepOptions opts;
     opts.tile_dir =
         FreshTileDir("workers" + std::to_string(workers));
     opts.num_workers = workers;
-    ShardedSweepStats stats;
-    auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    SweepOutcome merged =
+        Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+    const ShardedSweepStats& stats = merged.sharded_stats;
     SCOPED_TRACE(std::to_string(workers) + " workers");
     // Each straggler split turns one pending tile into two, so with more
     // workers than planned tiles the computed count exceeds the plan by
@@ -68,7 +89,7 @@ TEST(RunShardedSweepTest, MergedMapBitIdenticalAcrossWorkerCounts) {
       EXPECT_EQ(stats.tiles_split, 0u);
     }
     EXPECT_EQ(stats.tiles_reused, 0u);
-    ExpectMapsBitIdentical(reference, merged);
+    ExpectMapsBitIdentical(reference, merged.map());
   }
 }
 
@@ -76,33 +97,23 @@ TEST(RunShardedSweepTest, MoreTilesThanWorkersStillMergesExactly) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+  auto reference = SerialMap(env.ctx(), executor, space);
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("finetiles");
   opts.num_workers = 3;
   opts.num_tiles = 11;  // deliberately not a multiple of the worker count
-  ShardedSweepStats stats;
-  auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &stats)
-                    .ValueOrDie();
+  SweepOutcome merged = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& stats = merged.sharded_stats;
   EXPECT_GT(stats.tiles_total, 3u);
-  ExpectMapsBitIdentical(reference, merged);
+  ExpectMapsBitIdentical(reference, merged.map());
 }
 
 TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+  auto reference = SerialMap(env.ctx(), executor, space);
 
   // The measured leg reuses the analytic leg's directory, so the wall
   // times that run stamped into its tiles are the feedback being tested.
@@ -118,13 +129,12 @@ TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
     opts.num_tiles = 6;
     opts.resume = false;  // measured mode moves boundaries; recompute all
     opts.cost_model = kind;
-    ShardedSweepStats stats;
-    auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                  opts, &stats)
-                      .ValueOrDie();
+    SweepOutcome merged =
+        Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+    const ShardedSweepStats& stats = merged.sharded_stats;
     SCOPED_TRACE(CostModelKindName(kind));
     EXPECT_EQ(stats.tiles_computed, stats.tiles_total);
-    ExpectMapsBitIdentical(reference, merged);
+    ExpectMapsBitIdentical(reference, merged.map());
     // Every slot that ran a tile accounted busy time.
     ASSERT_FALSE(stats.worker_busy_seconds.empty());
     for (double busy : stats.worker_busy_seconds) EXPECT_GT(busy, 0.0);
@@ -145,19 +155,15 @@ TEST(RunShardedSweepTest, WeightedTilesResumeLikeUniformOnes) {
   opts.num_tiles = 5;
   opts.cost_model = CostModelKind::kAnalytic;
 
-  ShardedSweepStats first;
-  auto map1 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &first)
-                  .ValueOrDie();
+  SweepOutcome map1 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& first = map1.sharded_stats;
   EXPECT_EQ(first.tiles_computed, first.tiles_total);
 
-  ShardedSweepStats second;
-  auto map2 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &second)
-                  .ValueOrDie();
+  SweepOutcome map2 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& second = map2.sharded_stats;
   EXPECT_EQ(second.tiles_computed, 0u);
   EXPECT_EQ(second.tiles_reused, second.tiles_total);
-  ExpectMapsBitIdentical(map1, map2);
+  ExpectMapsBitIdentical(map1.map(), map2.map());
 }
 
 TEST(ShardedSweepStatsTest, BalanceRatioIsMaxOverMean) {
@@ -177,20 +183,16 @@ TEST(RunShardedSweepTest, ResumeReusesAllValidTiles) {
   opts.tile_dir = FreshTileDir("resume");
   opts.num_workers = 4;
 
-  ShardedSweepStats first;
-  auto map1 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &first)
-                  .ValueOrDie();
+  SweepOutcome map1 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& first = map1.sharded_stats;
   EXPECT_EQ(first.tiles_computed, first.tiles_total);
 
-  ShardedSweepStats second;
-  auto map2 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &second)
-                  .ValueOrDie();
+  SweepOutcome map2 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& second = map2.sharded_stats;
   EXPECT_EQ(second.tiles_computed, 0u);
   EXPECT_EQ(second.tiles_reused, second.tiles_total);
   EXPECT_EQ(second.workers_spawned, 0u);
-  ExpectMapsBitIdentical(map1, map2);
+  ExpectMapsBitIdentical(map1.map(), map2.map());
 }
 
 TEST(RunShardedSweepTest, ResumeRecomputesOnlyMissingAndCorruptTiles) {
@@ -201,9 +203,7 @@ TEST(RunShardedSweepTest, ResumeRecomputesOnlyMissingAndCorruptTiles) {
   opts.tile_dir = FreshTileDir("heal");
   opts.num_workers = 4;
 
-  auto map1 =
-      RunShardedSweep(env.ctx(), executor, StudySubset(), space, opts)
-          .ValueOrDie();
+  SweepOutcome map1 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
 
   // Kill one checkpoint outright and damage a second in place.
   ASSERT_EQ(std::remove((opts.tile_dir + "/" + TileFileName(0)).c_str()), 0);
@@ -219,17 +219,15 @@ TEST(RunShardedSweepTest, ResumeRecomputesOnlyMissingAndCorruptTiles) {
     f.put(static_cast<char>(byte ^ 0x01));
   }
 
-  ShardedSweepStats stats;
-  auto map2 = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                              opts, &stats)
-                  .ValueOrDie();
+  SweepOutcome map2 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& stats = map2.sharded_stats;
   // Two damaged tiles on a four-worker box leaves workers idle, so the
   // straggler splitter cuts the recomputation finer: 2 + one extra tile
   // per split. The healed map must still match the original bytes.
   EXPECT_EQ(stats.tiles_computed, 2u + stats.tiles_split);
   EXPECT_GT(stats.tiles_split, 0u);
   EXPECT_EQ(stats.tiles_reused, stats.tiles_total - 2);
-  ExpectMapsBitIdentical(map1, map2);
+  ExpectMapsBitIdentical(map1.map(), map2.map());
 }
 
 TEST(RunShardedSweepTest, MegaTileSplitsAndMeasuresEachCellExactlyOnce) {
@@ -241,22 +239,16 @@ TEST(RunShardedSweepTest, MegaTileSplitsAndMeasuresEachCellExactlyOnce) {
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+  auto reference = SerialMap(env.ctx(), executor, space);
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("megatile");
   opts.num_workers = 4;
   opts.num_tiles = 1;
-  ShardedSweepStats stats;
   SweepTelemetry::Get().Reset();
   SweepTelemetry::Get().Enable();
-  auto merged = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &stats)
-                    .ValueOrDie();
+  SweepOutcome merged = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& stats = merged.sharded_stats;
   SweepTelemetry::Get().Disable();
   const auto counters = SweepTelemetry::Get().Counters();
   SweepTelemetry::Get().Reset();
@@ -269,7 +261,7 @@ TEST(RunShardedSweepTest, MegaTileSplitsAndMeasuresEachCellExactlyOnce) {
   ASSERT_TRUE(counters.count("sweep.cells_measured"));
   EXPECT_EQ(counters.at("sweep.cells_measured"),
             StudySubset().size() * space.num_points());
-  ExpectMapsBitIdentical(reference, merged);
+  ExpectMapsBitIdentical(reference, merged.map());
 }
 
 TEST(RunShardedSweepTest, ResumeAdoptsSplitPiecesByCoverage) {
@@ -282,30 +274,22 @@ TEST(RunShardedSweepTest, ResumeAdoptsSplitPiecesByCoverage) {
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), space, serial)
-          .ValueOrDie();
+  auto reference = SerialMap(env.ctx(), executor, space);
 
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("adopt");
   opts.num_workers = 8;
   opts.num_tiles = 2;
-  ShardedSweepStats stats;
-  auto first = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                               opts, &stats)
-                   .ValueOrDie();
+  SweepOutcome first = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& stats = first.sharded_stats;
   ASSERT_GE(stats.tiles_split, 1u);
-  ExpectMapsBitIdentical(reference, first);
+  ExpectMapsBitIdentical(reference, first.map());
 
-  ShardedSweepStats resumed_stats;
-  auto resumed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                 opts, &resumed_stats)
-                     .ValueOrDie();
+  SweepOutcome resumed = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& resumed_stats = resumed.sharded_stats;
   EXPECT_EQ(resumed_stats.tiles_computed, 0u);
   EXPECT_GE(resumed_stats.tiles_reused, 2u);  // adopted pieces, not plans
-  ExpectMapsBitIdentical(reference, resumed);
+  ExpectMapsBitIdentical(reference, resumed.map());
 
   // Lose one checkpointed piece (the kill-mid-split shape): the next
   // resume adopts the surviving pieces and recomputes only the uncovered
@@ -317,13 +301,11 @@ TEST(RunShardedSweepTest, ResumeAdoptsSplitPiecesByCoverage) {
       break;
     }
   }
-  ShardedSweepStats healed_stats;
-  auto healed = RunShardedSweep(env.ctx(), executor, StudySubset(), space,
-                                opts, &healed_stats)
-                    .ValueOrDie();
+  SweepOutcome healed = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
+  const ShardedSweepStats& healed_stats = healed.sharded_stats;
   EXPECT_GE(healed_stats.tiles_computed, 1u);
   EXPECT_GE(healed_stats.tiles_reused, 1u);
-  ExpectMapsBitIdentical(reference, healed);
+  ExpectMapsBitIdentical(reference, healed.map());
 }
 
 TEST(RunShardedSweepTest, ResumeRejectsTilesFromADifferentConfiguration) {
@@ -333,28 +315,20 @@ TEST(RunShardedSweepTest, ResumeRejectsTilesFromADifferentConfiguration) {
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("reconfig");
   opts.num_workers = 2;
-  auto coarse =
-      RunShardedSweep(env.ctx(), executor, StudySubset(), space, opts)
-          .ValueOrDie();
+  SweepOutcome coarse = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
 
   // Same directory, finer grid: every stale tile describes the old grid
   // and must be recomputed, not merged.
   ParameterSpace fine =
       ParameterSpace::TwoD(Axis::SelectivityFine("a", -5, 0, 2),
                            Axis::SelectivityFine("b", -5, 0, 2));
-  ShardedSweepStats stats;
-  auto fine_map = RunShardedSweep(env.ctx(), executor, StudySubset(), fine,
-                                  opts, &stats)
-                      .ValueOrDie();
+  SweepOutcome fine_map = Sharded(env.ctx(), executor, fine, opts).ValueOrDie();
+  const ShardedSweepStats& stats = fine_map.sharded_stats;
   EXPECT_EQ(stats.tiles_computed, stats.tiles_total);
   EXPECT_EQ(stats.tiles_reused, 0u);
 
-  SweepOptions serial;
-  serial.num_threads = 1;
-  auto reference =
-      SweepStudyPlans(env.ctx(), executor, StudySubset(), fine, serial)
-          .ValueOrDie();
-  ExpectMapsBitIdentical(reference, fine_map);
+  auto reference = SerialMap(env.ctx(), executor, fine);
+  ExpectMapsBitIdentical(reference, fine_map.map());
 }
 
 TEST(RunShardedSweepTest, WorkerFailurePropagatesItsStatusMessage) {
@@ -365,9 +339,8 @@ TEST(RunShardedSweepTest, WorkerFailurePropagatesItsStatusMessage) {
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("failure");
   opts.num_workers = 2;
-  auto result = RunShardedSweep(env.ctx(), executor,
-                                {PlanKind::kTableScan, PlanKind::kMdamAB},
-                                SmallGrid(), opts);
+  auto result = Sharded(env.ctx(), executor, SmallGrid(), opts,
+                        {PlanKind::kTableScan, PlanKind::kMdamAB});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal());
   // The child's own Status must cross the process boundary via the err
@@ -384,14 +357,12 @@ TEST(RunShardedSweepTest, RejectsOrderDependentWarmupAndMissingDir) {
   ShardedSweepOptions opts;
   opts.tile_dir = FreshTileDir("warmup");
   env.ctx()->warmup = WarmupPolicy::PriorRun();
-  auto r = RunShardedSweep(env.ctx(), executor, StudySubset(), SmallGrid(),
-                           opts);
+  auto r = Sharded(env.ctx(), executor, SmallGrid(), opts);
   EXPECT_TRUE(r.status().IsInvalidArgument());
   env.ctx()->warmup = WarmupPolicy::Cold();
 
   ShardedSweepOptions no_dir;
-  EXPECT_TRUE(RunShardedSweep(env.ctx(), executor, StudySubset(),
-                              SmallGrid(), no_dir)
+  EXPECT_TRUE(Sharded(env.ctx(), executor, SmallGrid(), no_dir)
                   .status()
                   .IsInvalidArgument());
 }

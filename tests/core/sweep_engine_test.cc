@@ -111,14 +111,6 @@ TEST(SweepEngineTest, WarmColdStudyLayersConsistentAcrossBackends) {
     SCOPED_TRACE(li);
     ExpectMapsBitIdentical(serial.layers[li], parallel.layers[li]);
   }
-
-  // And the legacy shim unpacks the same three maps.
-  auto shim = RunWarmColdSweep(env.ctx(), executor, StudySubset(),
-                               SmallGrid(), WarmupPolicy::FractionResident(0.5))
-                  .ValueOrDie();
-  ExpectMapsBitIdentical(serial.cold(), shim.cold);
-  ExpectMapsBitIdentical(serial.warm(), shim.warm);
-  ExpectMapsBitIdentical(serial.delta(), shim.delta);
 }
 
 TEST(SweepEngineTest, ShardedWarmColdMatchesSerialReferencePerLayer) {
@@ -195,18 +187,19 @@ TEST(SweepEngineTest, RecycledMachinesBitIdenticalAcrossBackendsAndWarmups) {
       // And the warm-cold study — whose parallel cold half draws recycled
       // machines from the factory arena while the prior-run warm half is
       // serialized — reproduces layer for layer.
+      SweepRequest warmcold =
+          BaseRequest(StudyKind::kWarmColdDelta, BackendKind::kThreaded);
+      warmcold.warm_policy = WarmupPolicy::PriorRun();
       reset_pool();
-      auto wc_first = RunWarmColdSweep(env.ctx(), executor, StudySubset(),
-                                       SmallGrid(), WarmupPolicy::PriorRun())
+      auto wc_first = SweepEngine::Run(env.ctx(), executor, warmcold)
                           .ValueOrDie();
       reset_pool();
-      auto wc_second = RunWarmColdSweep(env.ctx(), executor, StudySubset(),
-                                        SmallGrid(),
-                                        WarmupPolicy::PriorRun())
+      auto wc_second = SweepEngine::Run(env.ctx(), executor, warmcold)
                            .ValueOrDie();
-      ExpectMapsBitIdentical(wc_first.cold, wc_second.cold);
-      ExpectMapsBitIdentical(wc_first.warm, wc_second.warm);
-      ExpectMapsBitIdentical(wc_first.delta, wc_second.delta);
+      for (size_t li = 0; li < 3; ++li) {
+        SCOPED_TRACE(li);
+        ExpectMapsBitIdentical(wc_first.layers[li], wc_second.layers[li]);
+      }
       continue;
     }
 
@@ -246,18 +239,68 @@ TEST(SweepEngineTest, RepeatedSweepsOverOneFactoryRecycleExactly) {
   std::vector<std::string> labels;
   for (PlanKind k : plans) labels.push_back(PlanKindLabel(k));
   const int64_t domain = executor.db().domain;
-  const auto runner = [&](RunContext* ctx, size_t plan, double sx,
-                          double sy) {
-    return executor.Run(ctx, plans[plan], MakeStudyQuery(sx, sy, domain));
+  const ParameterSpace space = SmallGrid();
+  const auto runner = [&](RunContext* ctx, size_t plan, size_t point) {
+    return executor.Run(ctx, plans[plan],
+                        MakeStudyQuery(space.x_value(point),
+                                       space.y_value(point), domain));
   };
   SweepOptions opts;
   opts.num_threads = 3;
-  auto fresh = ParallelRunSweep(SmallGrid(), labels, factory, runner, opts)
+  auto fresh = SweepEngine::RunCellsParallelIndexed(space, labels, factory,
+                                                    runner, opts)
                    .ValueOrDie();
-  auto recycled = ParallelRunSweep(SmallGrid(), labels, factory, runner,
-                                   opts)
+  auto recycled = SweepEngine::RunCellsParallelIndexed(space, labels,
+                                                       factory, runner, opts)
                       .ValueOrDie();
   ExpectMapsBitIdentical(fresh, recycled);
+}
+
+TEST(SweepEngineTest, ConsistentStudyPassesTheCardinalityCheck) {
+  // Run checks every layer of every backend for the cross-plan cardinality
+  // invariant; a correct simulator passes it on each, and the layers it
+  // returns satisfy the same helper.
+  ProcEnv env;
+  Executor executor(env.db());
+  for (StudyKind study : {StudyKind::kPlainMap, StudyKind::kWarmColdDelta}) {
+    for (BackendKind backend : {BackendKind::kSerial, BackendKind::kThreaded,
+                                BackendKind::kShardedProcess}) {
+      SCOPED_TRACE(std::string(StudyKindName(study)) + "/" +
+                   BackendKindName(backend));
+      SweepRequest req = BaseRequest(study, backend);
+      req.sharded.tile_dir =
+          FreshTileDir(std::string("cardinality_") + StudyKindName(study));
+      req.sharded.num_workers = 2;
+      req.sharded.resume = false;
+      auto out = SweepEngine::Run(env.ctx(), executor, req);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ASSERT_EQ(out.value().layers.size(), StudyLayerCount(study));
+      for (const RobustnessMap& layer : out.value().layers) {
+        EXPECT_TRUE(CheckPlanCardinalities(layer).ok());
+      }
+    }
+  }
+}
+
+TEST(SweepEngineTest, CardinalityCheckRejectsAnInconsistentMap) {
+  ParameterSpace space = ParameterSpace::OneD(Axis::Selectivity("a", -3, 0));
+  RobustnessMap map(space, {"A.tablescan", "B.broken"});
+  for (size_t plan = 0; plan < map.num_plans(); ++plan) {
+    for (size_t pt = 0; pt < space.num_points(); ++pt) {
+      Measurement m;
+      m.output_rows = 10 * (pt + 1);
+      if (plan == 1 && pt == 2) m.output_rows += 1;  // one plan miscounts
+      map.Set(plan, pt, m);
+    }
+  }
+  const Status s = CheckPlanCardinalities(map);
+  ASSERT_TRUE(s.IsInternal()) << s.ToString();
+  EXPECT_NE(s.message().find("B.broken"), std::string::npos);
+  EXPECT_NE(s.message().find("point 2"), std::string::npos);
+
+  // A single-plan map has nothing to disagree with.
+  RobustnessMap single(space, {"A.tablescan"});
+  EXPECT_TRUE(CheckPlanCardinalities(single).ok());
 }
 
 TEST(SweepEngineTest, ShardedResumeRejectsTilesOfADifferentStudy) {

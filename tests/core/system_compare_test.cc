@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "testing/test_env.h"
 
 namespace robustmap {
@@ -53,8 +53,10 @@ class SystemCompareTest : public ::testing::Test {
         ParameterSpace::TwoD(Axis::Selectivity("a", -6, 0),
                              Axis::Selectivity("b", -6, 0));
     map_ = new RobustnessMap(
-        SweepStudyPlans(env_->ctx(), executor, AllStudyPlans(), space)
-            .ValueOrDie());
+        SweepEngine::Run(env_->ctx(), executor,
+                         {.plans = AllStudyPlans(), .space = space})
+            .ValueOrDie()
+            .map());
   }
   static void TearDownTestSuite() {
     delete map_;

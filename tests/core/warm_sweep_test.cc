@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "testing/map_expect.h"
 #include "testing/test_env.h"
 
@@ -22,6 +23,19 @@ ParameterSpace SmallSpace() {
                               Axis::Selectivity("b", -4, 0));
 }
 
+/// The warm-cold study of `StudyPlans()` on the threaded backend.
+SweepOutcome WarmCold(RunContext* ctx, const Executor& executor,
+                      const ParameterSpace& space, const WarmupPolicy& policy,
+                      const SweepOptions& opts) {
+  return SweepEngine::Run(ctx, executor,
+                          {.plans = StudyPlans(),
+                           .space = space,
+                           .study = StudyKind::kWarmColdDelta,
+                           .warm_policy = policy,
+                           .sweep = opts})
+      .ValueOrDie();
+}
+
 TEST(RunWarmColdSweepTest, ProducesConsistentDeltaAndRestoresPolicy) {
   ProcEnv env;
   Executor executor(env.db());
@@ -33,19 +47,18 @@ TEST(RunWarmColdSweepTest, ProducesConsistentDeltaAndRestoresPolicy) {
   }
   SweepOptions opts;
   opts.num_threads = 2;
-  auto maps = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                               WarmupPolicy::ExplicitPages(pages), opts)
-                  .ValueOrDie();
+  auto maps = WarmCold(env.ctx(), executor, space,
+                       WarmupPolicy::ExplicitPages(pages), opts);
 
   EXPECT_EQ(env.ctx()->warmup.mode, WarmupPolicy::Mode::kCold);  // restored
 
   // delta = warm - cold, cell by cell; cardinalities must agree.
   double min_delta = 0;
-  for (size_t plan = 0; plan < maps.delta.num_plans(); ++plan) {
+  for (size_t plan = 0; plan < maps.delta().num_plans(); ++plan) {
     for (size_t pt = 0; pt < space.num_points(); ++pt) {
-      const Measurement& d = maps.delta.At(plan, pt);
-      const Measurement& w = maps.warm.At(plan, pt);
-      const Measurement& c = maps.cold.At(plan, pt);
+      const Measurement& d = maps.delta().At(plan, pt);
+      const Measurement& w = maps.warm().At(plan, pt);
+      const Measurement& c = maps.cold().At(plan, pt);
       EXPECT_DOUBLE_EQ(d.seconds, w.seconds - c.seconds);
       EXPECT_EQ(w.output_rows, c.output_rows);
       if (d.seconds < min_delta) min_delta = d.seconds;
@@ -64,20 +77,15 @@ TEST(RunWarmColdSweepTest, DeterministicWarmPolicyIsThreadCountInvariant) {
 
   SweepOptions serial;
   serial.num_threads = 1;
-  auto reference =
-      RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space, policy,
-                       serial)
-          .ValueOrDie();
+  auto reference = WarmCold(env.ctx(), executor, space, policy, serial);
 
   for (unsigned threads : {2u, 8u}) {
     SweepOptions opts;
     opts.num_threads = threads;
-    auto maps = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                                 policy, opts)
-                    .ValueOrDie();
+    auto maps = WarmCold(env.ctx(), executor, space, policy, opts);
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    ExpectMapsBitIdentical(reference.cold, maps.cold);
-    ExpectMapsBitIdentical(reference.warm, maps.warm);
+    ExpectMapsBitIdentical(reference.cold(), maps.cold());
+    ExpectMapsBitIdentical(reference.warm(), maps.warm());
   }
 }
 
@@ -90,14 +98,12 @@ TEST(RunWarmColdSweepTest, PriorRunWarmMapIsReproducible) {
   // so two invocations must agree bit for bit — even asked to parallelize.
   SweepOptions opts;
   opts.num_threads = 4;
-  auto first = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                                WarmupPolicy::PriorRun(), opts)
-                   .ValueOrDie();
-  auto second = RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space,
-                                 WarmupPolicy::PriorRun(), opts)
-                    .ValueOrDie();
-  ExpectMapsBitIdentical(first.warm, second.warm);
-  ExpectMapsBitIdentical(first.cold, second.cold);
+  auto first =
+      WarmCold(env.ctx(), executor, space, WarmupPolicy::PriorRun(), opts);
+  auto second =
+      WarmCold(env.ctx(), executor, space, WarmupPolicy::PriorRun(), opts);
+  ExpectMapsBitIdentical(first.warm(), second.warm());
+  ExpectMapsBitIdentical(first.cold(), second.cold());
 }
 
 // A page-set policy over a shared pool: every cell's ColdStart clears and
@@ -114,14 +120,12 @@ TEST(RunWarmColdSweepTest, SharedPoolPageSetPolicyIsReproducible) {
     SweepOptions opts;
     opts.num_threads = 4;
     opts.shared_pool = &shared;
-    return RunWarmColdSweep(env.ctx(), executor, StudyPlans(), space, policy,
-                            opts)
-        .ValueOrDie();
+    return WarmCold(env.ctx(), executor, space, policy, opts);
   };
   auto first = run_once();
   auto second = run_once();
-  ExpectMapsBitIdentical(first.warm, second.warm);
-  ExpectMapsBitIdentical(first.cold, second.cold);
+  ExpectMapsBitIdentical(first.warm(), second.warm());
+  ExpectMapsBitIdentical(first.cold(), second.cold());
 }
 
 // The §3.2 cross-query reuse scenario: one shared cache carried across the
@@ -138,9 +142,12 @@ TEST(SweepStudyPlansTest, SharedPoolSerialSweepIsDeterministic) {
     opts.num_threads = 1;
     opts.shared_pool = &shared;
     env.ctx()->warmup = WarmupPolicy::PriorRun();
-    auto map =
-        SweepStudyPlans(env.ctx(), executor, StudyPlans(), space, opts)
-            .ValueOrDie();
+    auto map = SweepEngine::Run(env.ctx(), executor,
+                                {.plans = StudyPlans(),
+                                 .space = space,
+                                 .sweep = opts})
+                   .ValueOrDie()
+                   .map();
     env.ctx()->warmup = WarmupPolicy::Cold();
     return map;
   };

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "core/landmarks.h"
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "workload/dataset.h"
 
 namespace robustmap {
@@ -23,11 +23,13 @@ class CalibrationTest : public ::testing::Test {
     ParameterSpace space =
         ParameterSpace::OneD(Axis::Selectivity("sel(a)", -16, 0));
     map_ = new RobustnessMap(
-        SweepStudyPlans(env_->ctx(), env_->executor(),
-                        {PlanKind::kTableScan, PlanKind::kIndexANaive,
-                         PlanKind::kIndexAImproved},
-                        space)
-            .ValueOrDie());
+        SweepEngine::Run(env_->ctx(), env_->executor(),
+                         {.plans = {PlanKind::kTableScan,
+                                    PlanKind::kIndexANaive,
+                                    PlanKind::kIndexAImproved},
+                          .space = space})
+            .ValueOrDie()
+            .map());
   }
   static void TearDownTestSuite() {
     delete map_;

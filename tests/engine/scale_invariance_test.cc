@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/sweep.h"
+#include "core/sweep_engine.h"
 #include "workload/dataset.h"
 
 namespace robustmap {
@@ -27,11 +27,13 @@ Landmarks MeasureAt(int row_bits) {
   auto env = StudyEnvironment::Create(opts).ValueOrDie();
   ParameterSpace space = ParameterSpace::OneD(
       Axis::Selectivity("s", -(row_bits - 4), 0));
-  auto map = SweepStudyPlans(env->ctx(), env->executor(),
-                             {PlanKind::kTableScan, PlanKind::kIndexANaive,
-                              PlanKind::kIndexAImproved},
-                             space)
-                 .ValueOrDie();
+  auto map =
+      SweepEngine::Run(env->ctx(), env->executor(),
+                       {.plans = {PlanKind::kTableScan, PlanKind::kIndexANaive,
+                                  PlanKind::kIndexAImproved},
+                        .space = space})
+          .ValueOrDie()
+          .map();
 
   auto crossover_log2 = [&](size_t plan) {
     auto a = map.SecondsOfPlan(plan);
