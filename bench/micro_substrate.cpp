@@ -1,17 +1,21 @@
 // Substrate micro-benchmarks (google-benchmark): regression tracking for
 // the data structures the simulator's wall-clock performance rests on,
 // plus the executor hot paths a sweep spends its cells in — B-tree
-// descent, the three fetch policies, hash-join build/probe, and the
-// cold-start-vs-recycle cost of a simulated machine.
+// descent, composite cursor steps, the rid sort, the three fetch
+// policies, hash-join build/probe, and the cold-start-vs-recycle cost of a
+// simulated machine.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/permutation.h"
 #include "common/rng.h"
 #include "engine/executor.h"
 #include "exec/hash_join.h"
+#include "exec/rid_sort.h"
 #include "index/btree.h"
 #include "index/procedural_index.h"
 #include "io/buffer_pool.h"
@@ -110,6 +114,63 @@ void BM_ProceduralIndexEntryAt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProceduralIndexEntryAt);
+
+// One step of a cursor on a composite index at the study's scale (4 rows
+// per value): the cursor re-materializes its group every 4th step.
+void BM_CompositeCursorStep(benchmark::State& state) {
+  VirtualClock clock;
+  SimDevice device(DiskParameters{}, &clock);
+  LruBufferPool pool(&device, 4096);
+  RunContext ctx;
+  ctx.clock = &clock;
+  ctx.device = &device;
+  ctx.pool = &pool;
+  ProceduralTableOptions topts;
+  topts.row_bits = 18;
+  topts.value_bits = 16;
+  auto table = ProceduralTable::Create(&device, topts).ValueOrDie();
+  ProceduralIndexOptions iopts;
+  iopts.key_columns = {0, 1};
+  auto index =
+      ProceduralIndex::Create(&device, table.get(), iopts).ValueOrDie();
+  auto cursor = index->SeekFirst(&ctx);
+  for (auto _ : state) {
+    if (!cursor->Valid()) cursor = index->SeekFirst(&ctx);
+    benchmark::DoNotOptimize(cursor->entry());
+    cursor->Next(&ctx);
+  }
+}
+BENCHMARK(BM_CompositeCursorStep);
+
+// Sorting 2^18 rows by rid, as MergeJoin does with each input: the
+// in-place radix sort (arg 1) against a comparison std::sort (arg 0).
+void BM_SortRowsByRid(benchmark::State& state) {
+  const bool radix = state.range(0) != 0;
+  FeistelPermutation perm(18, 3);
+  std::vector<Row> input(size_t{1} << 18);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input[i].rid = perm.Permute(i);
+    input[i].SetCol(0, static_cast<int64_t>(i));
+  }
+  std::vector<Row> rows;
+  for (auto _ : state) {
+    state.PauseTiming();
+    rows = input;
+    state.ResumeTiming();
+    if (radix) {
+      SortRowsByRid(&rows);
+    } else {
+      std::sort(rows.begin(), rows.end(),
+                [](const Row& a, const Row& b) { return a.rid < b.rid; });
+    }
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(radix ? "radix" : "std::sort");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(input.size()));
+}
+BENCHMARK(BM_SortRowsByRid)->Arg(0)->Arg(1);
 
 void BM_BufferPoolAccess(benchmark::State& state) {
   VirtualClock clock;

@@ -6,40 +6,20 @@
 
 namespace robustmap {
 
-FeistelPermutation::FeistelPermutation(int bits, uint64_t seed) : bits_(bits) {
-  assert(bits >= 2 && bits <= 62 && bits % 2 == 0);
-  half_bits_ = bits / 2;
-  half_mask_ = (uint64_t{1} << half_bits_) - 1;
+FeistelPermutation::FeistelPermutation(int bits, uint64_t seed)
+    : half_bits_(bits / 2),
+      half_mask_(static_cast<uint32_t>((uint64_t{1} << (bits / 2)) - 1)) {
+  assert(bits >= 2 && bits <= kMaxBits && bits % 2 == 0);
   Rng rng(seed ^ 0x5ca1ab1e5ca1ab1eULL);
-  for (auto& k : keys_) k = rng.Next();
-}
-
-uint64_t FeistelPermutation::RoundFunction(int round, uint64_t half) const {
-  return Mix64(half ^ keys_[round]) & half_mask_;
-}
-
-uint64_t FeistelPermutation::Permute(uint64_t x) const {
-  uint64_t left = x >> half_bits_;
-  uint64_t right = x & half_mask_;
+  const uint64_t halves = uint64_t{1} << half_bits_;
+  rounds_.resize(kRounds * halves);
   for (int r = 0; r < kRounds; ++r) {
-    uint64_t next_left = right;
-    uint64_t next_right = left ^ RoundFunction(r, right);
-    left = next_left;
-    right = next_right;
+    const uint64_t key = rng.Next();
+    uint32_t* round = rounds_.data() + r * halves;
+    for (uint64_t h = 0; h < halves; ++h) {
+      round[h] = static_cast<uint32_t>(Mix64(h ^ key)) & half_mask_;
+    }
   }
-  return (left << half_bits_) | right;
-}
-
-uint64_t FeistelPermutation::Inverse(uint64_t y) const {
-  uint64_t left = y >> half_bits_;
-  uint64_t right = y & half_mask_;
-  for (int r = kRounds - 1; r >= 0; --r) {
-    uint64_t prev_right = left;
-    uint64_t prev_left = right ^ RoundFunction(r, prev_right);
-    left = prev_left;
-    right = prev_right;
-  }
-  return (left << half_bits_) | right;
 }
 
 }  // namespace robustmap

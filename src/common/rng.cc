@@ -2,19 +2,11 @@
 
 namespace robustmap {
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t Rng::Next() {
+  // Mix64 adds the increment itself, so this finalizes the advanced state.
+  const uint64_t x = state_;
   state_ += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return Mix64(x);
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {

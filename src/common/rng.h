@@ -31,7 +31,12 @@ class Rng {
 
 /// Stateless scrambling of a 64-bit value (finalizer of SplitMix64).
 /// Useful for deriving per-key deterministic "random" values.
-uint64_t Mix64(uint64_t x);
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 }  // namespace robustmap
 

@@ -3,10 +3,14 @@
 #include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -1021,6 +1025,7 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
       // dispatch produced it.
       std::remove(trace_sidecar(path).c_str());
       std::remove(telemetry_sidecar(path).c_str());
+      [[maybe_unused]] const pid_t coordinator = ::getpid();
       pid_t pid = ::fork();
       if (pid < 0) {
         const int fork_errno = errno;
@@ -1028,6 +1033,15 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
         return Status::Internal("fork failed: " + ErrnoString(fork_errno));
       }
       if (pid == 0) {
+#ifdef __linux__
+        // A worker dies with its coordinator: a killed coordinator must
+        // not leave workers writing into tile_dir behind it. The signal
+        // fires when the forking thread exits, and that thread stays here
+        // until every worker is reaped. A coordinator that died before
+        // the prctl took effect is caught by the parent check.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != coordinator) ::_exit(1);
+#endif
         // Worker. Either exec the external worker binary, or compute the
         // tile right here on the forked copy of the parent's environment.
         if (!opts.worker_command.empty()) {

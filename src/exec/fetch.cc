@@ -1,7 +1,6 @@
 #include "exec/fetch.h"
 
-#include <algorithm>
-
+#include "exec/rid_sort.h"
 #include "exec/sort.h"
 
 namespace robustmap {
@@ -28,7 +27,7 @@ Status FetchOp::Prepare(RunContext* ctx) {
     // Rid sort: 8-byte items under the sort memory budget.
     ChargeSortCost(ctx, rids_.size(), sizeof(Rid), ctx->sort_memory_bytes,
                    SpillKind::kGraceful);
-    std::sort(rids_.begin(), rids_.end());
+    SortRids(&rids_);
     return Status::OK();
   }
   // kBitmap: one bit per table row; insertion is cheap and order-free.

@@ -1,7 +1,9 @@
 #include "exec/merge_join.h"
 
 #include <algorithm>
+#include <cassert>
 
+#include "exec/rid_sort.h"
 #include "exec/sort.h"
 
 namespace robustmap {
@@ -15,8 +17,13 @@ Status MergeJoinOp::DrainSorted(RunContext* ctx, Operator* child,
   child->Close(ctx);
   ChargeSortCost(ctx, out->size(), /*item_bytes=*/16, ctx->sort_memory_bytes,
                  SpillKind::kGraceful);
-  std::sort(out->begin(), out->end(),
-            [](const Row& a, const Row& b) { return a.rid < b.rid; });
+  SortRowsByRid(out);
+  // Each input is a scan of one index, so no rid repeats; that is what
+  // makes the sort's order unique.
+  assert(std::adjacent_find(out->begin(), out->end(),
+                            [](const Row& a, const Row& b) {
+                              return a.rid == b.rid;
+                            }) == out->end());
   return Status::OK();
 }
 

@@ -1,59 +1,20 @@
 #include "index/procedural_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <deque>
+#include <utility>
 
 namespace robustmap {
 
-namespace {
-
-// Composite-group materializations are cached per (thread, index) so that
-// concurrent sweep workers sharing one index never contend or race. Slots
-// are found by linear scan: a thread touches few distinct indexes at a
-// time, and the unique id guards against a destroyed index's slot being
-// picked up by a new instance at the same address. A deque keeps slot
-// addresses stable while new slots are added (Group() hands out references
-// into a slot), and the slot count is bounded: once full, the oldest slot
-// is recycled round-robin — an eviction only costs re-materializing one
-// group, never correctness (and no simulated cost either way).
-struct GroupCacheSlot {
-  uint64_t index_id = 0;
-  uint64_t group = ~uint64_t{0};
-  std::vector<IndexEntry> entries;
-};
-
-constexpr size_t kMaxGroupCacheSlots = 16;
-
-std::atomic<uint64_t> g_next_index_id{1};
-thread_local std::deque<GroupCacheSlot> t_group_cache;
-thread_local size_t t_group_cache_evict = 0;
-
-GroupCacheSlot& GroupCacheFor(uint64_t index_id) {
-  for (GroupCacheSlot& slot : t_group_cache) {
-    if (slot.index_id == index_id) return slot;
-  }
-  if (t_group_cache.size() < kMaxGroupCacheSlots) {
-    t_group_cache.emplace_back();
-    t_group_cache.back().index_id = index_id;
-    return t_group_cache.back();
-  }
-  GroupCacheSlot& slot = t_group_cache[t_group_cache_evict];
-  t_group_cache_evict = (t_group_cache_evict + 1) % kMaxGroupCacheSlots;
-  slot.index_id = index_id;
-  slot.group = ~uint64_t{0};
-  return slot;
-}
-
-}  // namespace
-
-class ProceduralIndex::Cursor : public IndexCursor {
+// A cursor owns the composite group it stands in and re-materializes only
+// when a step crosses into the next group, so cursors on one thread (or
+// on many) never evict each other's groups.
+class ProceduralIndex::Cursor final : public IndexCursor {
  public:
-  Cursor(const ProceduralIndex* index, uint64_t ordinal)
-      : index_(index), ordinal_(ordinal) {
-    if (Valid()) entry_ = index_->EntryAt(ordinal_);
+  Cursor(const ProceduralIndex* index, uint64_t ordinal, Group group)
+      : index_(index), ordinal_(ordinal), group_(std::move(group)) {
+    if (Valid()) Load();
   }
 
   bool Valid() const override { return ordinal_ < index_->num_entries(); }
@@ -65,14 +26,26 @@ class ProceduralIndex::Cursor : public IndexCursor {
     if (ordinal_ % index_->entries_per_leaf() == 0) {
       ctx->ReadPage(index_->LeafPageOf(ordinal_), /*cacheable=*/true);
     }
-    entry_ = index_->EntryAt(ordinal_);
+    Load();
   }
 
   const IndexEntry& entry() const override { return entry_; }
 
  private:
+  void Load() {
+    if (!index_->composite()) {
+      entry_ = index_->EntryAt(ordinal_);
+      return;
+    }
+    const int shift = index_->table_->value_shift();
+    const uint64_t g = ordinal_ >> shift;
+    if (g != group_.number) index_->MaterializeGroup(g, &group_);
+    entry_ = group_.entries[ordinal_ - (g << shift)];
+  }
+
   const ProceduralIndex* index_;
   uint64_t ordinal_;
+  Group group_;
   IndexEntry entry_;
 };
 
@@ -104,8 +77,7 @@ ProceduralIndex::ProceduralIndex(SimDevice* device,
     : device_(device),
       table_(table),
       opts_(opts),
-      base_page_(base_page),
-      cache_id_(g_next_index_id.fetch_add(1, std::memory_order_relaxed)) {
+      base_page_(base_page) {
   (void)device_;
   num_leaf_pages_ =
       (table->num_rows() + opts_.entries_per_leaf - 1) / opts_.entries_per_leaf;
@@ -115,28 +87,25 @@ ProceduralIndex::ProceduralIndex(SimDevice* device,
                           std::log(n) / std::log(opts_.internal_fanout))));
 }
 
-const std::vector<IndexEntry>& ProceduralIndex::Group(uint64_t g) const {
-  GroupCacheSlot& cache = GroupCacheFor(cache_id_);
-  if (cache.group == g) return cache.entries;
+void ProceduralIndex::MaterializeGroup(uint64_t g, Group* group) const {
   const auto& perm0 = table_->column_permutation(opts_.key_columns[0]);
   uint64_t rpv = table_->rows_per_value();
-  cache.entries.clear();
-  cache.entries.reserve(rpv);
+  group->entries.clear();
+  group->entries.reserve(rpv);
   for (uint64_t j = 0; j < rpv; ++j) {
     Rid rid = perm0.Inverse(g * rpv + j);
     IndexEntry e;
     e.key0 = static_cast<int64_t>(g);
     e.key1 = table_->ValueAt(rid, opts_.key_columns[1]);
     e.rid = rid;
-    cache.entries.push_back(e);
+    group->entries.push_back(e);
   }
-  std::sort(cache.entries.begin(), cache.entries.end(),
+  std::sort(group->entries.begin(), group->entries.end(),
             [](const IndexEntry& a, const IndexEntry& b) {
               if (a.key1 != b.key1) return a.key1 < b.key1;
               return a.rid < b.rid;
             });
-  cache.group = g;
-  return cache.entries;
+  group->number = g;
 }
 
 IndexEntry ProceduralIndex::EntryAt(uint64_t k) const {
@@ -150,10 +119,13 @@ IndexEntry ProceduralIndex::EntryAt(uint64_t k) const {
     return e;
   }
   uint64_t rpv = table_->rows_per_value();
-  return Group(k / rpv)[k % rpv];
+  Group group;
+  MaterializeGroup(k / rpv, &group);
+  return group.entries[k % rpv];
 }
 
-uint64_t ProceduralIndex::OrdinalLowerBound(int64_t k0, int64_t k1) const {
+uint64_t ProceduralIndex::LowerBound(int64_t k0, int64_t k1,
+                                     Group* group) const {
   int64_t domain = table_->value_domain();
   uint64_t n = num_entries();
   if (k0 < 0) return 0;
@@ -165,13 +137,14 @@ uint64_t ProceduralIndex::OrdinalLowerBound(int64_t k0, int64_t k1) const {
   }
   if (k1 <= 0) return static_cast<uint64_t>(k0) * rpv;
   if (k1 >= domain) return (static_cast<uint64_t>(k0) + 1) * rpv;
-  const auto& group = Group(static_cast<uint64_t>(k0));
-  auto it = std::lower_bound(group.begin(), group.end(), k1,
+  MaterializeGroup(static_cast<uint64_t>(k0), group);
+  const std::vector<IndexEntry>& entries = group->entries;
+  auto it = std::lower_bound(entries.begin(), entries.end(), k1,
                              [](const IndexEntry& e, int64_t key) {
                                return e.key1 < key;
                              });
   return static_cast<uint64_t>(k0) * rpv +
-         static_cast<uint64_t>(it - group.begin());
+         static_cast<uint64_t>(it - entries.begin());
 }
 
 std::unique_ptr<IndexCursor> ProceduralIndex::Seek(RunContext* ctx, int64_t k0,
@@ -179,11 +152,12 @@ std::unique_ptr<IndexCursor> ProceduralIndex::Seek(RunContext* ctx, int64_t k0,
   // Internal levels modeled as cached: CPU per level; then one leaf read.
   ctx->ChargeCpuOps(static_cast<uint64_t>(height_) * 8,
                     ctx->cpu.compare_seconds);
-  uint64_t ordinal = OrdinalLowerBound(k0, k1);
+  Group group;
+  uint64_t ordinal = LowerBound(k0, k1, &group);
   if (ordinal < num_entries()) {
     ctx->ReadPage(LeafPageOf(ordinal), /*cacheable=*/true);
   }
-  return std::make_unique<Cursor>(this, ordinal);
+  return std::make_unique<Cursor>(this, ordinal, std::move(group));
 }
 
 }  // namespace robustmap

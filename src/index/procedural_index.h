@@ -27,11 +27,12 @@ struct ProceduralIndexOptions {
 ///     tie order, so the k-th entry is computable in O(1));
 ///   * composite (c0,c1): ordinal k lies in group g = k / rows_per_value;
 ///     the group's rows are perm_c0^{-1}(g*rpv .. (g+1)*rpv) sorted by
-///     (key1, rid); groups are materialized lazily and cached.
+///     (key1, rid); each cursor materializes the group it is in, once per
+///     group it enters, so cursors share no mutable state.
 ///
 /// Leaf-page I/O is charged exactly like a real B-tree with the same
 /// fan-out: ordinal / entries_per_leaf maps to a physical leaf page.
-class ProceduralIndex : public Index {
+class ProceduralIndex final : public Index {
  public:
   static Result<std::unique_ptr<ProceduralIndex>> Create(
       SimDevice* device, const ProceduralTable* table,
@@ -52,10 +53,14 @@ class ProceduralIndex : public Index {
                                     int64_t k1) override;
 
   /// Entry at ordinal `k` (no simulated cost; cursors charge leaf I/O).
+  /// On a composite index this materializes k's whole group.
   IndexEntry EntryAt(uint64_t k) const;
 
   /// Ordinal of the first entry with (key0, key1) >= (k0, k1).
-  uint64_t OrdinalLowerBound(int64_t k0, int64_t k1) const;
+  uint64_t OrdinalLowerBound(int64_t k0, int64_t k1) const {
+    Group unused;
+    return LowerBound(k0, k1, &unused);
+  }
 
   /// Global device page of the leaf holding ordinal `k`.
   uint64_t LeafPageOf(uint64_t k) const {
@@ -67,11 +72,24 @@ class ProceduralIndex : public Index {
  private:
   class Cursor;
 
+  /// One composite group's entries, sorted by (key1, rid).
+  struct Group {
+    static constexpr uint64_t kNone = ~uint64_t{0};
+    uint64_t number = kNone;
+    std::vector<IndexEntry> entries;
+  };
+
   ProceduralIndex(SimDevice* device, const ProceduralTable* table,
                   const ProceduralIndexOptions& opts, uint64_t base_page);
 
-  /// Materializes (and caches) composite group `g` sorted by (key1, rid).
-  const std::vector<IndexEntry>& Group(uint64_t g) const;
+  bool composite() const { return opts_.key_columns.size() == 2; }
+
+  /// Fills `group` with composite group `g`.
+  void MaterializeGroup(uint64_t g, Group* group) const;
+
+  /// OrdinalLowerBound; a composite probe that lands inside group k0
+  /// leaves that group in `group`, so a cursor starting there reuses it.
+  uint64_t LowerBound(int64_t k0, int64_t k1, Group* group) const;
 
   SimDevice* device_;
   const ProceduralTable* table_;
@@ -79,12 +97,6 @@ class ProceduralIndex : public Index {
   uint64_t base_page_;
   uint64_t num_leaf_pages_;
   int height_;
-
-  /// Key for this instance's per-thread group cache (see Group): parallel
-  /// sweep workers share the index object, so an instance-level mutable
-  /// cache would race. Ids are never reused, so a destroyed index's cached
-  /// slot can only go stale, never be misread.
-  uint64_t cache_id_;
 };
 
 }  // namespace robustmap

@@ -4,8 +4,9 @@ namespace robustmap {
 
 Result<std::unique_ptr<ProceduralTable>> ProceduralTable::Create(
     SimDevice* device, const ProceduralTableOptions& opts) {
-  if (opts.row_bits < 2 || opts.row_bits > 40 || opts.row_bits % 2 != 0) {
-    return Status::InvalidArgument("row_bits must be even and in [2, 40]");
+  if (opts.row_bits < 2 || opts.row_bits > FeistelPermutation::kMaxBits ||
+      opts.row_bits % 2 != 0) {
+    return Status::InvalidArgument("row_bits must be even and in [2, 32]");
   }
   if (opts.value_bits < 1 || opts.value_bits > opts.row_bits) {
     return Status::InvalidArgument("value_bits must be in [1, row_bits]");
@@ -35,10 +36,6 @@ ProceduralTable::ProceduralTable(SimDevice* device,
   for (uint32_t c = 0; c < opts.num_columns; ++c) {
     perms_.emplace_back(opts.row_bits, opts.seed * 0x9e3779b9u + c + 1);
   }
-}
-
-int64_t ProceduralTable::ValueAt(Rid rid, uint32_t col) const {
-  return static_cast<int64_t>(perms_[col].Permute(rid) >> value_shift());
 }
 
 Status ProceduralTable::ReadPage(RunContext* ctx, uint64_t page_no,

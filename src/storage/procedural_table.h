@@ -13,8 +13,8 @@ namespace robustmap {
 
 /// Options for a procedural (synthetic) table.
 struct ProceduralTableOptions {
-  /// Table has 2^row_bits rows (row_bits must be even for the Feistel
-  /// permutation; 20 => 1M rows, 26 => 67M rows ~ paper scale).
+  /// Table has 2^row_bits rows (row_bits must be even and at most 32 for
+  /// the Feistel permutation; 20 => 1M rows, 26 => 67M rows ~ paper scale).
   int row_bits = 20;
 
   /// Column values are uniform over [0, 2^value_bits); each value occurs
@@ -37,7 +37,7 @@ struct ProceduralTableOptions {
 /// I/O charging is identical to `HeapTable`; only the byte materialization
 /// differs. This is the substitution for the paper's 60M-row TPC-H lineitem
 /// (DESIGN.md §2).
-class ProceduralTable : public Table {
+class ProceduralTable final : public Table {
  public:
   static Result<std::unique_ptr<ProceduralTable>> Create(
       SimDevice* device, const ProceduralTableOptions& opts);
@@ -53,7 +53,9 @@ class ProceduralTable : public Table {
 
   /// Value of column `col` for row `rid` (no cost; used by indexes and
   /// verification).
-  int64_t ValueAt(Rid rid, uint32_t col) const;
+  int64_t ValueAt(Rid rid, uint32_t col) const {
+    return static_cast<int64_t>(perms_[col].Permute(rid) >> value_shift());
+  }
 
   /// The permutation backing column `col` (procedural indexes invert it).
   const FeistelPermutation& column_permutation(uint32_t col) const {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "exec/bitmap_ops.h"
 #include "exec/hash_join.h"
 #include "exec/index_scan.h"
@@ -49,6 +52,26 @@ TEST(MergeJoinTest, DisjointInputsYieldNothing) {
   ProcEnv env;
   MergeJoinOp join(ScanA(&env, 64, 70), ScanB(&env, 0, 63));
   EXPECT_TRUE(CollectRids(env.ctx(), &join).empty());
+}
+
+// MergeJoin sorts its inputs with an unstable sort by rid. Its output is
+// unique only because no rid repeats within an input: each input is a scan
+// of one index, which holds every row exactly once.
+TEST(MergeJoinTest, InputsHaveUniqueRids) {
+  ProcEnv env;
+  const int64_t top = env.domain() - 1;
+  OperatorPtr scans[] = {ScanA(&env, 0, top), ScanB(&env, 0, top),
+                         ScanA(&env, 5, 20)};
+  for (OperatorPtr& scan : scans) {
+    ASSERT_TRUE(scan->Open(env.ctx()).ok());
+    std::vector<Rid> rids;
+    Row r;
+    while (scan->Next(env.ctx(), &r)) rids.push_back(r.rid);
+    scan->Close(env.ctx());
+    std::sort(rids.begin(), rids.end());
+    EXPECT_EQ(std::adjacent_find(rids.begin(), rids.end()), rids.end())
+        << scan->DebugName();
+  }
 }
 
 TEST(MergeJoinTest, CostSymmetricInJoinOrder) {

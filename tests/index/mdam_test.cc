@@ -108,6 +108,40 @@ TEST_F(MdamTest, SkipScanSeeksPerGroup) {
   EXPECT_LE(cursor->seeks_performed(), 130u);
 }
 
+// Both strategies' pool accesses (device reads plus pool hits), seeks and
+// virtual time over one range, pinned to the values of the index before
+// cursors owned their composite groups: where a group is kept must not
+// move a single charge.
+TEST_F(MdamTest, PoolAccessesPinned) {
+  struct Case {
+    MdamOptions::Mode mode;
+    uint64_t pool_accesses;
+    uint64_t seeks;
+    int64_t virtual_ns;
+  } cases[] = {
+      {MdamOptions::Mode::kSkipScan, 46, 46, 3053936},
+      {MdamOptions::Mode::kRangeScan, 47, 1, 3154864},
+  };
+  for (const Case& c : cases) {
+    clock_.Reset();
+    pool_.Clear();
+    device_.ResetHead();
+    const IoStats before = device_.stats();
+    MdamOptions opts;
+    opts.k0_lo = 5;
+    opts.k0_hi = 50;
+    opts.k1_lo = 20;
+    opts.k1_hi = 23;
+    opts.mode = c.mode;
+    auto cursor = MdamCursor::Create(&ctx_, index_.get(), opts);
+    while (cursor->Valid()) cursor->Next(&ctx_);
+    const IoStats io = device_.stats().Delta(before);
+    EXPECT_EQ(io.total_reads() + io.buffer_hits, c.pool_accesses);
+    EXPECT_EQ(cursor->seeks_performed(), c.seeks);
+    EXPECT_EQ(clock_.now_ns(), c.virtual_ns);
+  }
+}
+
 TEST_F(MdamTest, AutoChoosesRangeScanForWideB) {
   MdamOptions opts;
   opts.k0_lo = 0;

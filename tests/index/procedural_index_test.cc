@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace robustmap {
 namespace {
@@ -113,6 +116,44 @@ TEST_F(ProceduralIndexTest, SeekMidGroupOnComposite) {
   ASSERT_TRUE(cursor->Valid());
   const IndexEntry& e = cursor->entry();
   EXPECT_TRUE(e.key0 > 3 || (e.key0 == 3 && e.key1 >= 50));
+}
+
+// Cursors on one composite index, stepped in turn on one thread, each see
+// exactly the entries at their own ordinals. 16-entry groups on 24-entry
+// leaves put group and leaf boundaries at different ordinals, and the
+// cursors start in different groups, in the same group, and mid-group.
+TEST_F(ProceduralIndexTest, InterleavedCompositeCursorsMatchEntryAt) {
+  ProceduralTableOptions topts;
+  topts.row_bits = 12;
+  topts.value_bits = 8;  // 256 values x 16 dupes
+  auto table = ProceduralTable::Create(&device_, topts).ValueOrDie();
+  ProceduralIndexOptions opts;
+  opts.key_columns = {0, 1};
+  opts.entries_per_leaf = 24;
+  auto idx = ProceduralIndex::Create(&device_, table.get(), opts).ValueOrDie();
+
+  using Probe = std::pair<int64_t, int64_t>;
+  const Probe probes[] = {{3, 100}, {3, 0}, {40, 7}, {40, 200}, {255, 128}};
+  std::vector<std::unique_ptr<IndexCursor>> cursors;
+  std::vector<uint64_t> ordinals;
+  for (const auto& [k0, k1] : probes) {
+    cursors.push_back(idx->Seek(&ctx_, k0, k1));
+    ordinals.push_back(idx->OrdinalLowerBound(k0, k1));
+  }
+  for (int step = 0; step < 200; ++step) {
+    for (size_t c = 0; c < cursors.size(); ++c) {
+      if (!cursors[c]->Valid()) {
+        ASSERT_EQ(ordinals[c], idx->num_entries()) << "cursor " << c;
+        continue;
+      }
+      ASSERT_EQ(cursors[c]->entry(), idx->EntryAt(ordinals[c]))
+          << "cursor " << c << " step " << step;
+      cursors[c]->Next(&ctx_);
+      ++ordinals[c];
+    }
+  }
+  // The last cursor started in the last group and ran off the end.
+  EXPECT_FALSE(cursors.back()->Valid());
 }
 
 TEST_F(ProceduralIndexTest, HeightAndLeafCount) {

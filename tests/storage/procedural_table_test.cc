@@ -110,6 +110,8 @@ TEST_F(ProceduralTableTest, RejectsBadOptions) {
   ProceduralTableOptions opts;
   opts.row_bits = 13;  // odd
   EXPECT_FALSE(ProceduralTable::Create(&device_, opts).ok());
+  opts.row_bits = 34;  // above the permutation's 32-bit cap
+  EXPECT_FALSE(ProceduralTable::Create(&device_, opts).ok());
   opts.row_bits = 12;
   opts.value_bits = 13;  // > row_bits
   EXPECT_FALSE(ProceduralTable::Create(&device_, opts).ok());
