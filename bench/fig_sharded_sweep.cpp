@@ -9,14 +9,11 @@
 //   * a resumed sweep recomputes nothing when all tiles are valid;
 //   * after deleting one tile and corrupting another, resume recomputes
 //     exactly those two and still merges the identical map;
-//   * uniform, analytic, and measured cost models all merge the identical
-//     map — scheduling is allowed to move tile boundaries, never values —
-//     and the measured model picks up the wall times the previous run
-//     stamped into its tiles.
+//   * the sharded warm/cold/delta study merges all three layers
+//     bit-identically and resumes from its multi-layer tiles.
 //
 // Exits non-zero on any failed check — ready for CI.
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -151,68 +148,6 @@ int main() {
           "tiles recomputed (1 deleted + 1 corrupted, straggler-split)");
     Check(MapsBitIdentical(serial, resumed), "resumed map still == serial",
           1, "checkpoint damage is fully healed");
-  }
-
-  // Cost models: scheduling may reshape and reorder tiles, but never the
-  // map. Uniform tiles (the pre-cost-layer planner) and a measured-cost
-  // re-balance (fed by the wall times the analytic run above left in its
-  // tiles) must both merge the same bytes.
-  {
-    ShardedSweepOptions uopts;
-    uopts.tile_dir = OutDir() + "/fig_sharded_uniform";
-    uopts.num_workers = 8;
-    uopts.resume = false;
-    uopts.verbose = scale.verbose;
-    uopts.cost_model = CostModelKind::kUniform;
-    ShardedSweepStats ustats;
-    auto uniform = run_sharded(uopts, &ustats);
-    Check(MapsBitIdentical(serial, uniform),
-          "uniform cost model merges == serial", ustats.busy_balance_ratio(),
-          "balance ratio (slowest/mean worker)");
-
-    // The measured-feedback contract, checked at its root: every readable
-    // tile the runs above left behind must carry a positive wall time (if
-    // stamping silently regressed, MeasuredCostModelFromDir would fall
-    // back to the analytic prior and a weaker check would still pass).
-    // Scanned by directory, not by planned id: the heal above replaced
-    // two planned tiles with straggler pieces under fresh ids and left
-    // one corrupt (unreadable, hence unusable) file behind.
-    std::vector<std::pair<std::string, MapTile>> disk_tiles;
-    auto measured_model =
-        MeasuredCostModelFromDir(last_dir, space, &disk_tiles).ValueOrDie();
-    size_t timed_tiles = 0;
-    double wall_sum = 0;
-    for (const auto& entry : disk_tiles) {
-      if (entry.second.wall_seconds > 0) {
-        ++timed_tiles;
-        wall_sum += entry.second.wall_seconds;
-      }
-    }
-    Check(!disk_tiles.empty() && timed_tiles == disk_tiles.size(),
-          "every computed tile carries its wall time",
-          static_cast<double>(timed_tiles), "timed tiles (v2 metadata)");
-    ShardedSweepOptions mopts;
-    mopts.tile_dir = last_dir;
-    mopts.num_workers = 8;
-    mopts.resume = false;  // measured boundaries differ; this is a re-balance
-    mopts.verbose = scale.verbose;
-    mopts.cost_model = CostModelKind::kMeasured;
-    ShardedSweepStats mstats;
-    auto measured = run_sharded(mopts, &mstats);
-    Check(MapsBitIdentical(serial, measured),
-          "measured cost model merges == serial",
-          mstats.busy_balance_ratio(),
-          "balance ratio (slowest/mean worker)");
-    // With every tile timed above, the measured model is genuinely built
-    // from observations: its total is the tiles' summed wall seconds (as
-    // counted before the rerun overwrote them), not the analytic prior's
-    // unit-scale weights — a silent fallback-to-prior cannot sneak
-    // through.
-    Check(wall_sum > 0 &&
-              std::abs(measured_model.TotalCost() - wall_sum) <
-                  1e-6 * wall_sum,
-          "measured model rebuilt from prior run's tile timings",
-          measured_model.TotalCost(), "summed measured seconds");
   }
 
   // Study × backend composition: the sharded warm/cold/delta study — the

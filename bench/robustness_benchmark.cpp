@@ -20,6 +20,7 @@
 #include "core/cell_cache.h"
 #include "core/landmarks.h"
 #include "core/sharded_sweep.h"
+#include "core/sweep_cost.h"
 #include "core/sweep_telemetry.h"
 #include "core/metrics.h"
 #include "core/optimality.h"
@@ -47,7 +48,6 @@ void Check(bool ok, const char* name, double value, const char* detail) {
 struct ShardLeg {
   double wall_seconds = 0;
   double balance_ratio = 1;
-  double busy_total_seconds = 0;  ///< summed worker busy time
   size_t tiles = 0;
   bool bit_identical = false;
 };
@@ -98,15 +98,13 @@ std::vector<std::pair<std::string, uint64_t>> TopCounters(size_t n) {
 }
 
 /// The perf-trajectory artifact consumed by CI: wall-clock cost of the full
-/// 2-D study sweep — serial, thread-parallel, and process-sharded (uniform
-/// tiles vs. the cost-weighted scheduler, same worker and tile count) — on
+/// 2-D study sweep — serial, thread-parallel, and process-sharded — on
 /// this machine, plus the per-phase wall breakdown and the run's loudest
 /// telemetry counters.
 void WriteBenchJson(
     const BenchScale& scale, size_t plans, size_t cells, unsigned threads,
     double serial_wall, double parallel_wall, bool bit_identical,
-    unsigned shards, const ShardLeg& uniform, const ShardLeg& weighted,
-    const CacheLeg& cached,
+    unsigned shards, const ShardLeg& sharded, const CacheLeg& cached,
     const std::vector<std::pair<std::string, double>>& phase_walls) {
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   // A speedup measured with more threads than the box has (or on a
@@ -143,14 +141,10 @@ void WriteBenchJson(
                "  \"bit_identical\": %s,\n"
                "  \"shard_workers\": %u,\n"
                "  \"shard_tiles\": %zu,\n"
-               "  \"sharded_cost_model\": \"%s\",\n"
                "  \"sharded_wall_seconds\": %.6f,\n"
                "  \"sharded_speedup\": %.3f,\n"
                "  \"sharded_balance_ratio\": %.3f,\n"
-               "  \"sharded_bit_identical\": %s,\n"
-               "  \"sharded_uniform_wall_seconds\": %.6f,\n"
-               "  \"sharded_uniform_balance_ratio\": %.3f,\n"
-               "  \"sharded_uniform_bit_identical\": %s,\n",
+               "  \"sharded_bit_identical\": %s,\n",
                scale.row_bits, plans, cells, threads, hardware_threads,
                speedup_meaningful ? "true" : "false", serial_wall,
                parallel_wall,
@@ -159,14 +153,12 @@ void WriteBenchJson(
                                : 0.0,
                parallel_wall > 0 ? static_cast<double>(cells) / parallel_wall
                                  : 0.0,
-               bit_identical ? "true" : "false", shards, weighted.tiles,
-               CostModelKindName(scale.cost_model), weighted.wall_seconds,
-               weighted.wall_seconds > 0 ? serial_wall / weighted.wall_seconds
-                                         : 0.0,
-               weighted.balance_ratio,
-               weighted.bit_identical ? "true" : "false",
-               uniform.wall_seconds, uniform.balance_ratio,
-               uniform.bit_identical ? "true" : "false");
+               bit_identical ? "true" : "false", shards, sharded.tiles,
+               sharded.wall_seconds,
+               sharded.wall_seconds > 0 ? serial_wall / sharded.wall_seconds
+                                        : 0.0,
+               sharded.balance_ratio,
+               sharded.bit_identical ? "true" : "false");
   std::fprintf(f,
                "  \"cells_reused\": %llu,\n"
                "  \"cache_hit_rate\": %.4f,\n"
@@ -215,12 +207,11 @@ void WriteBenchJson(
                top.empty() ? "" : "\n", g_failures);
   std::fclose(f);
   std::printf("\n[artifacts] BENCH_robustness.json written (threads %.2fx on "
-              "%u, processes %.2fx on %u, balance %.2f vs %.2f uniform)\n",
+              "%u, processes %.2fx on %u, balance %.2f)\n",
               parallel_wall > 0 ? serial_wall / parallel_wall : 0.0, threads,
-              weighted.wall_seconds > 0
-                  ? serial_wall / weighted.wall_seconds
-                  : 0.0,
-              shards, weighted.balance_ratio, uniform.balance_ratio);
+              sharded.wall_seconds > 0 ? serial_wall / sharded.wall_seconds
+                                       : 0.0,
+              shards, sharded.balance_ratio);
   if (!top.empty()) {
     std::printf("[telemetry] loudest counters:\n");
     for (const auto& [name, value] : top) {
@@ -318,60 +309,42 @@ int main() {
               parallel_wall > 0 ? serial_wall / parallel_wall : 0.0);
 
   // Third leg: the same grid sharded across worker *processes* through the
-  // checkpointing coordinator (tiles + fork + merge), timed against the
-  // serial sweep — twice at the same worker and tile count: once with the
-  // legacy uniform tiles, once under the cost model (REPRO_COST_MODEL,
-  // default analytic). The study grid is exactly the skewed case the cost
-  // layer exists for: cell cost rises steeply toward sel=1, so uniform
-  // tiles leave the worker holding the top band far behind its peers.
-  // resume=false so the timings measure computation, never a warm
-  // checkpoint directory left by an earlier run.
+  // checkpointing coordinator (cost-balanced tiles + fork + merge), timed
+  // against the serial sweep. resume=false so the timing measures
+  // computation, never a warm checkpoint directory left by an earlier run.
   const unsigned shard_workers =
       scale.num_shards != 0 ? scale.num_shards : 8;
-  // In-memory cell-result cache for the reuse legs below. The weighted
-  // sharded leg runs with it attached: its post-merge publishes fill the
-  // cache as a side effect of work the leg does anyway, so the warm
-  // rerun's reuse is measured without paying for an extra cold sweep.
+  // In-memory cell-result cache for the reuse legs below. The sharded leg
+  // runs with it attached: its post-merge publishes fill the cache as a
+  // side effect of work the leg does anyway, so the warm rerun's reuse is
+  // measured without paying for an extra cold sweep.
   CellResultCache cell_cache;
-  auto run_shard_leg = [&](CostModelKind model, const std::string& dir,
-                           CellResultCache* cache) -> ShardLeg {
+  ShardLeg shard_leg;
+  {
     SweepRequest req = StudyRequest(scale, AllStudyPlans(), grid);
     req.backend = BackendKind::kShardedProcess;
-    req.sharded.tile_dir = OutDir() + "/" + dir;
+    req.sharded.tile_dir = OutDir() + "/robustness_shards";
     req.sharded.num_workers = shard_workers;
     req.sharded.resume = false;
-    req.sharded.cost_model = model;
-    req.cell_cache = cache;
+    req.cell_cache = &cell_cache;
     WallTimer timer;
     auto out = SweepEngine::Run(env->ctx(), env->executor(), req)
                    .ValueOrDie();
-    const ShardedSweepStats& stats = out.sharded_stats;
-    ShardLeg leg;
-    leg.wall_seconds = timer.Seconds();
-    leg.balance_ratio = stats.busy_balance_ratio();
-    for (double busy : stats.worker_busy_seconds) {
-      leg.busy_total_seconds += busy;
-    }
-    leg.tiles = stats.tiles_total;
-    leg.bit_identical = MapsBitIdentical(serial_map, out.map());
-    std::printf("sharded across %u workers (%s tiles): %.2fs (%.2fx, "
-                "balance %.2f)\n",
-                shard_workers, CostModelKindName(model), leg.wall_seconds,
-                leg.wall_seconds > 0 ? serial_wall / leg.wall_seconds : 0.0,
-                leg.balance_ratio);
-    return leg;
-  };
-  const ShardLeg uniform_leg = run_shard_leg(
-      CostModelKind::kUniform, "robustness_shards_uniform", nullptr);
-  phase_walls.emplace_back("sharded_uniform", uniform_leg.wall_seconds);
-  const ShardLeg weighted_leg =
-      run_shard_leg(scale.cost_model, "robustness_shards", &cell_cache);
-  phase_walls.emplace_back("sharded_weighted", weighted_leg.wall_seconds);
-  bool sharded_bit_identical =
-      uniform_leg.bit_identical && weighted_leg.bit_identical;
+    shard_leg.wall_seconds = timer.Seconds();
+    shard_leg.balance_ratio = out.sharded_stats.busy_balance_ratio();
+    shard_leg.tiles = out.sharded_stats.tiles_total;
+    shard_leg.bit_identical = MapsBitIdentical(serial_map, out.map());
+    std::printf("sharded across %u workers: %.2fs (%.2fx, balance %.2f)\n",
+                shard_workers, shard_leg.wall_seconds,
+                shard_leg.wall_seconds > 0
+                    ? serial_wall / shard_leg.wall_seconds
+                    : 0.0,
+                shard_leg.balance_ratio);
+  }
+  phase_walls.emplace_back("sharded_weighted", shard_leg.wall_seconds);
 
   // Fourth leg, the "never measure a cell twice" half of the scorecard: a
-  // threaded rerun of the full study against the cache the weighted leg
+  // threaded rerun of the full study against the cache the sharded leg
   // just filled. Every cell must come back as a hit — zero measurements —
   // and the resulting map must still equal the serial one bit for bit.
   CacheLeg cache_leg;
@@ -479,9 +452,8 @@ int main() {
   std::printf("\nSweep-engine criteria:\n");
   Check(bit_identical, "parallel sweep bit-identical to serial",
         bit_identical ? 1 : 0, "every cell equal (determinism contract)");
-  Check(sharded_bit_identical, "sharded sweep bit-identical to serial",
-        sharded_bit_identical ? 1 : 0,
-        "merged tiles equal serial map, uniform and cost-weighted");
+  Check(shard_leg.bit_identical, "sharded sweep bit-identical to serial",
+        shard_leg.bit_identical ? 1 : 0, "merged tiles equal serial map");
   Check(warm_bit_identical, "cache-warm sweep bit-identical to serial",
         warm_bit_identical ? 1 : 0,
         "a map built from cache hits equals a measured one");
@@ -498,33 +470,35 @@ int main() {
         "progressive sweep delivered a coarse snapshot",
         cache_leg.first_snapshot_seconds,
         "seconds to first snapshot (wall-clock, reported not trended)");
-  // The cost layer's reason to exist: at equal worker and tile counts on
-  // the skewed study grid, cost-weighted tiles + heaviest-first dispatch
-  // must not leave workers more imbalanced than uniform tiles did. This
-  // is the scorecard's only wall-clock-dependent criterion, so it guards
-  // itself against noise twice over: a slack term for scheduling jitter,
-  // and at sub-second busy totals (where the coordinator's 10 ms reap
-  // poll and fork overhead dominate any real signal) the ratios are
-  // reported but not gated.
-  const bool balance_measurable = uniform_leg.busy_total_seconds >= 1.0 &&
-                                  weighted_leg.busy_total_seconds >= 1.0;
-  Check(!balance_measurable ||
-            weighted_leg.balance_ratio <=
-                uniform_leg.balance_ratio * 1.10 + 0.10,
-        "cost-weighted scheduling balances workers",
-        weighted_leg.balance_ratio,
-        (std::string("slowest/mean busy vs ") +
-         std::to_string(uniform_leg.balance_ratio).substr(0, 4) +
-         " for uniform tiles" +
-         (balance_measurable ? "" : " (too fast to gate, reported only)"))
-            .c_str());
+  // The cost layer's reason to exist, checked on the model itself: at the
+  // sharded leg's grid and tile count, the cost-balanced partition's
+  // heaviest tile, costed under the analytic prior, must be lighter than
+  // the equal-area partition's. No clock is read, so the check is
+  // deterministic; it catches a planner that stops balancing, not a prior
+  // that stops matching what cells really cost (the measured
+  // sharded_balance_ratio is reported for that, not gated).
+  const CellCostModel analytic = CellCostModel::Analytic(grid).ValueOrDie();
+  const auto heaviest_tile = [&](const CellCostModel& model) {
+    const std::vector<TileSpec> tiles =
+        ShardPlanner::Partition(grid, shard_workers, model).ValueOrDie();
+    double heaviest = 0;
+    for (const TileSpec& t : tiles) {
+      heaviest = std::max(heaviest, analytic.TileCost(t));
+    }
+    return heaviest;
+  };
+  const double heaviest_ratio =
+      heaviest_tile(analytic) /
+      heaviest_tile(CellCostModel::Uniform(grid).ValueOrDie());
+  Check(heaviest_ratio < 1.0, "cost-weighted tiles lighten the heaviest tile",
+        heaviest_ratio, "heaviest tile vs equal-area tiles (modeled, <1)");
 
   phase_walls.emplace_back("analysis", analysis_timer.Seconds());
   WriteBenchJson(scale, map.num_plans(),
                  map.num_plans() * grid.num_points(),
                  parallel_opts.num_threads, serial_wall, parallel_wall,
-                 bit_identical, shard_workers, uniform_leg, weighted_leg,
-                 cache_leg, phase_walls);
+                 bit_identical, shard_workers, shard_leg, cache_leg,
+                 phase_walls);
   if (!trace_path.empty()) {
     if (Status s = Tracer::Get().WriteFile(trace_path); !s.ok()) {
       std::fprintf(stderr, "robustness_benchmark: %s\n",

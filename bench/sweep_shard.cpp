@@ -10,7 +10,6 @@
 //   sweep_shard [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
 //               [--plans=all|smoke] [--workers=N] [--tiles=T]
 //               [--out-dir=shard_out]
-//               [--cost-model=uniform|analytic|measured]
 //               [--study=plain|warmcold] [--warmup=SPEC]
 //               [--worker=PATH]   # sweep_worker binary (default: next to me)
 //               [--fork]          # forked in-process workers, no exec
@@ -31,13 +30,11 @@
 // DIR/merged.{rmt,csv} for the plain study, DIR/merged_<layer>.{rmt,csv}
 // (cold/warm/delta) for --study=warmcold — each a single-layer full-grid
 // tile, so `cmp` against a --serial reference run checks bit-identity per
-// layer. The REPRO_SHARDS / REPRO_COST_MODEL / REPRO_STUDY env knobs
-// supply --workers / --cost-model / --study when the flags are absent.
-// --warmup (WarmupPolicy::FromSpec grammar, e.g. resident:0.5) is the warm
-// layer's policy for warmcold and the measurement policy for plain.
-// --cost-model=measured reschedules from the wall times stamped into the
-// tile files of a previous run against the same --out-dir (combine with
-// --no-resume: moving tile boundaries invalidates old checkpoints anyway).
+// layer. The REPRO_SHARDS / REPRO_STUDY env knobs supply --workers /
+// --study when the flags are absent. --warmup (WarmupPolicy::FromSpec
+// grammar, e.g. resident:0.5) is the warm layer's policy for warmcold and
+// the measurement policy for plain. Tiles are cut cost-balanced under the
+// analytic selectivity prior and dispatched heaviest first.
 //
 // --cache-dir attaches the content-addressed cell-result cache
 // (DIR/cells.rmc, see core/cell_cache.h): already-measured cells are
@@ -109,8 +106,6 @@ int main(int argc, char** argv) {
   bool verbose = EnvFlag("REPRO_VERBOSE");
   std::string out_dir = "shard_out";
   std::string worker_path = DefaultWorkerPath(argv[0]);
-  std::string cost_model_name =
-      CostModelKindName(EnvCostModel(CostModelKind::kAnalytic));
   std::string study_name = StudyKindName(EnvStudy(StudyKind::kPlainMap));
   std::string warmup_spec = "cold";
   std::string cache_dir = EnvString("REPRO_CACHE");
@@ -123,7 +118,6 @@ int main(int argc, char** argv) {
         ParseIntFlag(arg, "progressive", &progressive) ||
         ParseFlag(arg, "out-dir", &out_dir) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
-        ParseFlag(arg, "cost-model", &cost_model_name) ||
         ParseFlag(arg, "study", &study_name) ||
         ParseFlag(arg, "warmup", &warmup_spec) ||
         ParseFlag(arg, "worker", &worker_path) ||
@@ -145,12 +139,6 @@ int main(int argc, char** argv) {
     }
   }
   if (workers == 0) workers = EnvInt("REPRO_SHARDS", 0, 0, 256);
-  auto cost_model = CostModelKindFromString(cost_model_name);
-  if (!cost_model.ok()) {
-    std::fprintf(stderr, "sweep_shard: %s\n",
-                 cost_model.status().message().c_str());
-    return 2;
-  }
   auto study = StudyKindFromString(study_name);
   if (!study.ok()) {
     std::fprintf(stderr, "sweep_shard: %s\n",
@@ -274,7 +262,6 @@ int main(int argc, char** argv) {
   req.sharded.num_tiles = tiles <= 0 ? 0 : static_cast<size_t>(tiles);
   req.sharded.resume = resume;
   req.sharded.verbose = verbose;
-  req.sharded.cost_model = cost_model.value();
 
   // The cache outlives the request: the engine borrows it, main flushes
   // it after the merged artifacts are safely on disk.
@@ -320,9 +307,8 @@ int main(int argc, char** argv) {
   }
 
   if (!use_fork) {
-    // The engine itself appends --tiles/--tile/--rect/--study/--warmup/
-    // --out, so the resolved partition and study are always the
-    // coordinator's own.
+    // The engine itself appends --tile/--rect/--study/--warmup/--out, so
+    // the partition and study are always the coordinator's own.
     req.sharded.worker_command = {worker_path};
     for (std::string& flag : GridArgs(grid)) {
       req.sharded.worker_command.push_back(std::move(flag));
@@ -372,12 +358,11 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "sharded sweep: tiles=%zu reused=%zu computed=%zu split=%zu workers=%u "
-      "mode=%s study=%s cost-model=%s balance=%.2f wall=%.2fs -> "
-      "%s/merged*.rmt\n",
+      "mode=%s study=%s balance=%.2f wall=%.2fs -> %s/merged*.rmt\n",
       stats.tiles_total, stats.tiles_reused, stats.tiles_computed,
       stats.tiles_split, stats.workers_spawned, use_fork ? "fork" : "exec",
-      StudyKindName(study.value()), CostModelKindName(req.sharded.cost_model),
-      stats.busy_balance_ratio(), timer.Seconds(), out_dir.c_str());
+      StudyKindName(study.value()), stats.busy_balance_ratio(),
+      timer.Seconds(), out_dir.c_str());
   write_observability();
   return 0;
 }

@@ -1,16 +1,15 @@
 // One worker of a sharded sweep: rebuilds the study environment from its
 // flags, computes exactly one grid tile of the requested study, and writes
 // it as a checkpointed binary tile file (single-layer for the plain study,
-// one named layer per study output otherwise; v2/v3 wall-time metadata is
-// the cost feedback later coordinator runs reschedule from). Normally
-// spawned by `sweep_shard` (which appends --tile/--rect/--study/--out to
-// its own grid flags), but equally runnable by hand or from a cluster
-// scheduler — a tile file is self-describing, so tiles computed anywhere
-// merge as long as the grid flags match.
+// one named layer per study output otherwise; the stamped wall time is
+// informational, shown by `map_cat --info`). Normally spawned by
+// `sweep_shard` (which appends --tile/--rect/--study/--out to its own grid
+// flags), but equally runnable by hand or from a cluster scheduler — a
+// tile file is self-describing, so tiles computed anywhere merge as long
+// as the grid flags match.
 //
 // Usage:
-//   sweep_worker --tiles=N --tile=K --out=PATH
-//                [--rect=X0:X1:Y0:Y1] [--stride=K]
+//   sweep_worker --tile=K --rect=X0:X1:Y0:Y1 --out=PATH [--stride=K]
 //                [--study=plain|warmcold] [--warmup=SPEC]
 //                [--row-bits=16] [--min-log2=-8] [--steps-per-octave=1]
 //                [--plans=all|smoke] [--cache-dir=DIR]
@@ -23,14 +22,13 @@
 // explicit flags only — a worker never reads REPRO_TRACE, or every worker
 // inherited from one environment would clobber the same file.
 //
-// With --rect the tile rectangle is taken verbatim (the coordinator's
-// cost-weighted cuts depend on its model, so the exact boundaries are part
-// of the contract); without it the worker re-derives tile K of the uniform
-// N-way partition, the pre-cost-model contract, still honored so old
-// driver scripts keep working. --warmup (see WarmupPolicy::FromSpec for
-// the grammar) is the warm layer's policy for --study=warmcold and the
-// measurement policy for a plain study; it must be order-independent —
-// prior-run warmth cannot cross the tile boundaries sharding erases.
+// --rect is the tile rectangle, taken verbatim (the coordinator's
+// cost-weighted cuts depend on its model, so the exact boundaries are the
+// contract); --tile is the tile's shard id. --warmup (see
+// WarmupPolicy::FromSpec for the grammar) is the warm layer's policy for
+// --study=warmcold and the measurement policy for a plain study; it must
+// be order-independent — prior-run warmth cannot cross the tile
+// boundaries sharding erases.
 //
 // --stride=K subsamples the grid to its stride-K lattice *before* tile
 // resolution — the coarse levels of a progressive sweep, whose --rect
@@ -72,7 +70,6 @@ int Fail(const std::string& out, const Status& s) {
 
 int main(int argc, char** argv) {
   ShardGrid grid;
-  int tiles = 0;
   int tile_id = -1;
   int stride = 1;
   std::string out;
@@ -85,8 +82,7 @@ int main(int argc, char** argv) {
   std::string telemetry_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "tiles", &tiles) ||
-        ParseIntFlag(arg, "tile", &tile_id) ||
+    if (ParseGridFlag(arg, &grid) || ParseIntFlag(arg, "tile", &tile_id) ||
         ParseIntFlag(arg, "stride", &stride) ||
         ParseFlag(arg, "out", &out) || ParseFlag(arg, "rect", &rect) ||
         ParseFlag(arg, "cache-dir", &cache_dir) ||
@@ -100,10 +96,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sweep_worker: unknown flag %s\n", arg.c_str());
     return 2;
   }
-  if (tiles <= 0 || tile_id < 0 || out.empty()) {
+  if (tile_id < 0 || out.empty()) {
     std::fprintf(stderr,
-                 "usage: sweep_worker --tiles=N --tile=K --out=PATH "
-                 "[--rect=X0:X1:Y0:Y1] [--stride=K] "
+                 "usage: sweep_worker --tile=K --rect=X0:X1:Y0:Y1 "
+                 "--out=PATH [--stride=K] "
                  "[--study=plain|warmcold] [--warmup=SPEC] "
                  "[--row-bits=..] [--min-log2=..] "
                  "[--steps-per-octave=..] [--plans=all|smoke] "
@@ -155,29 +151,17 @@ int main(int argc, char** argv) {
   if (stride > 1) space = SubsampleSpace(space, static_cast<size_t>(stride));
   TileSpec spec;
   spec.shard_id = static_cast<size_t>(tile_id);
-  if (!rect.empty()) {
-    // The coordinator's exact (possibly cost-weighted) cuts; SliceSpace
-    // validation below rejects a rectangle that doesn't fit this grid.
-    if (!ParseRectSpec(rect, &spec)) {
-      return Fail(out, Status::InvalidArgument(
-                           "--rect=" + rect +
-                           " is not X0:X1:Y0:Y1 grid indices"));
-    }
-  } else {
-    auto tile_plan =
-        ShardPlanner::Partition(space, static_cast<size_t>(tiles));
-    if (!tile_plan.ok()) return Fail(out, tile_plan.status());
-    const TileSpec* found = nullptr;
-    for (const TileSpec& t : tile_plan.value()) {
-      if (t.shard_id == static_cast<size_t>(tile_id)) found = &t;
-    }
-    if (found == nullptr) {
-      return Fail(out, Status::InvalidArgument(
-                           "tile " + std::to_string(tile_id) +
-                           " does not exist in a " + std::to_string(tiles) +
-                           "-way partition of this grid"));
-    }
-    spec = *found;
+  if (rect.empty()) {
+    return Fail(out, Status::InvalidArgument(
+                         "--rect=X0:X1:Y0:Y1 is required: the coordinator's "
+                         "cuts are the tile, a worker never re-derives them"));
+  }
+  // SliceSpace validation below rejects a rectangle that doesn't fit this
+  // grid.
+  if (!ParseRectSpec(rect, &spec)) {
+    return Fail(out, Status::InvalidArgument(
+                         "--rect=" + rect +
+                         " is not X0:X1:Y0:Y1 grid indices"));
   }
   if (auto sub = SliceSpace(space, spec); !sub.ok()) {
     return Fail(out, sub.status());
@@ -215,8 +199,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "sweep_worker: tile %d/%d (%zux%zu cells x %zu plans, %s) -> %s\n",
-      tile_id, tiles, spec.x_size(), spec.y_size(), plans.size(),
+      "sweep_worker: tile %d (%zux%zu cells x %zu plans, %s) -> %s\n",
+      tile_id, spec.x_size(), spec.y_size(), plans.size(),
       StudyKindName(study.value()), out.c_str());
   return 0;
 }

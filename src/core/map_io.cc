@@ -190,8 +190,8 @@ Result<MapTile> ReadMapTile(std::istream& is) {
 
   Cursor c(buf.data() + kVersionOffset + sizeof(uint32_t),
            payload_size - kVersionOffset - sizeof(uint32_t), kWhat);
-  // The tile sweep's wall time sits right after the version (0 means
-  // "unmeasured" to downstream cost models). v3 adds the layer count; v2
+  // The tile sweep's wall time sits right after the version (0 for a
+  // merged, unmeasured artifact). v3 adds the layer count; v2
   // tiles are by definition single-layer.
   double wall_seconds = 0;
   RM_RETURN_IF_ERROR(c.GetDouble(&wall_seconds));

@@ -23,8 +23,8 @@ namespace robustmap {
 /// v1: magic, version, spec, axes, labels, cells, checksum (no longer
 ///     read: every tile this project writes is v2 or later).
 /// v2: adds `wall_seconds` (the tile sweep's measured wall time)
-///     immediately after the version field — the per-tile cost feedback
-///     `CostModelKind::kMeasured` reschedules from.
+///     immediately after the version field — informational, shown by
+///     `map_cat --info`; scheduling never reads it.
 /// v3: adds a layer count after `wall_seconds` and, after the plan labels,
 ///     one named cell block per layer — the serialized form of a
 ///     multi-output study (e.g. cold/warm/delta from a warm-cold sweep).
@@ -46,7 +46,7 @@ struct MapTile {
 
   /// Wall-clock seconds the sweep that produced this tile took; 0 when
   /// unknown (an artifact that was merged rather than measured).
-  /// Scheduling metadata only: it never participates in bit-identity
+  /// Informational metadata only: it never participates in bit-identity
   /// comparisons of the *map*, and merged/reference artifacts write 0 so
   /// equal maps still serialize to equal bytes.
   double wall_seconds = 0;

@@ -10,25 +10,6 @@ namespace robustmap {
 
 namespace {
 
-/// Band `b` of `count` even bands over `size` elements: [b*size/count,
-/// (b+1)*size/count). Consecutive bands tile [0, size) exactly and differ
-/// in length by at most one.
-std::pair<size_t, size_t> Band(size_t size, size_t count, size_t b) {
-  return {b * size / count, (b + 1) * size / count};
-}
-
-Status ValidatePartitionRequest(const ParameterSpace& space,
-                                size_t max_tiles) {
-  if (max_tiles == 0) {
-    return Status::InvalidArgument("cannot partition a sweep into 0 tiles");
-  }
-  if (space.num_points() == 0) {
-    return Status::InvalidArgument(
-        "cannot partition an empty grid (an axis has no values)");
-  }
-  return Status::OK();
-}
-
 /// Cuts [0, costs.size()) into `count` contiguous bands whose cumulative
 /// costs are as equal as a prefix walk can make them: boundary b lands at
 /// the first index whose prefix reaches b/count of the total, clamped so
@@ -69,39 +50,15 @@ std::vector<size_t> CostCuts(const std::vector<double>& costs, size_t count) {
 }  // namespace
 
 Result<std::vector<TileSpec>> ShardPlanner::Partition(
-    const ParameterSpace& space, size_t max_tiles) {
-  RM_RETURN_IF_ERROR(ValidatePartitionRequest(space, max_tiles));
-  const size_t x_size = space.x_size();
-  const size_t y_size = space.y_size();
-  // Rows first: a row band keeps cells that are adjacent in the row-major
-  // linearization together. Only when more tiles are wanted than there are
-  // rows does each row band also split along x. Both counts are capped by
-  // the axis length, so every tile is non-empty, and gx*gy <= max_tiles
-  // because gx <= max_tiles / gy.
-  const size_t gy = std::min(max_tiles, y_size);
-  const size_t gx = std::min(std::max<size_t>(1, max_tiles / gy), x_size);
-  std::vector<TileSpec> tiles;
-  tiles.reserve(gx * gy);
-  for (size_t by = 0; by < gy; ++by) {
-    const auto [y0, y1] = Band(y_size, gy, by);
-    for (size_t bx = 0; bx < gx; ++bx) {
-      const auto [x0, x1] = Band(x_size, gx, bx);
-      TileSpec t;
-      t.shard_id = by * gx + bx;
-      t.x_begin = x0;
-      t.x_end = x1;
-      t.y_begin = y0;
-      t.y_end = y1;
-      tiles.push_back(t);
-    }
-  }
-  return tiles;
-}
-
-Result<std::vector<TileSpec>> ShardPlanner::PartitionWeighted(
     const ParameterSpace& space, size_t max_tiles,
     const CellCostModel& model) {
-  RM_RETURN_IF_ERROR(ValidatePartitionRequest(space, max_tiles));
+  if (max_tiles == 0) {
+    return Status::InvalidArgument("cannot partition a sweep into 0 tiles");
+  }
+  if (space.num_points() == 0) {
+    return Status::InvalidArgument(
+        "cannot partition an empty grid (an axis has no values)");
+  }
   if (!(model.space() == space)) {
     return Status::InvalidArgument(
         "cost model was built over a different grid than the one being "
@@ -109,9 +66,10 @@ Result<std::vector<TileSpec>> ShardPlanner::PartitionWeighted(
   }
   const size_t x_size = space.x_size();
   const size_t y_size = space.y_size();
-  // Same tile-grid shape as the uniform partition — only the boundary
-  // placement changes — so a given (space, max_tiles) request yields the
-  // same tile count and the same dense row-major ids under either planner.
+  // Rows first: a row band keeps cells that are adjacent in the row-major
+  // linearization together. Both counts are capped by the axis length, so
+  // every tile is non-empty, and gx*gy <= max_tiles because
+  // gx <= max_tiles / gy.
   const size_t gy = std::min(max_tiles, y_size);
   const size_t gx = std::min(std::max<size_t>(1, max_tiles / gy), x_size);
 

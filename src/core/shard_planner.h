@@ -18,7 +18,7 @@ class CellCostModel;
 /// grid, never the plan list, so each tile file is a complete miniature map
 /// and merging is a pure copy.
 struct TileSpec {
-  size_t shard_id = 0;  ///< stable for a given (space, max_tiles) pair
+  size_t shard_id = 0;  ///< stable for a given (space, max_tiles, model)
   size_t x_begin = 0;
   size_t x_end = 0;
   size_t y_begin = 0;
@@ -35,31 +35,24 @@ struct TileSpec {
 class ShardPlanner {
  public:
   /// Splits `space` into at most `max_tiles` rectangular tiles that cover
-  /// every grid point exactly once. The y axis is split first (rows are the
-  /// outer dimension of the row-major linearization), then x if more tiles
-  /// are wanted than there are rows; a 1-D space splits along x. Returns
-  /// fewer than `max_tiles` tiles when the grid is too small or the counts
-  /// do not divide evenly. Shard ids are assigned row-major over the tile
-  /// grid, so the same (space, max_tiles) request always yields the same
-  /// tiles with the same ids — the property checkpoint/resume relies on.
-  /// Rejects empty grids (either axis with no values).
+  /// every grid point exactly once, balanced by cost under `model`. The
+  /// tile grid is gy row bands × gx column cuts: y is split first (rows
+  /// are the outer dimension of the row-major linearization), then x if
+  /// more tiles are wanted than there are rows; a 1-D space splits along
+  /// x. Fewer than `max_tiles` tiles come back when the grid is too small
+  /// or the counts do not divide evenly. Band boundaries are placed by
+  /// cumulative cost — row bands each carry ~1/gy of the total cost, and
+  /// each band's x cuts carry ~1/gx of that band's — so where cost is
+  /// skewed the expensive corner gets geometrically finer tiles. Shard ids
+  /// are dense and row-major over the tile grid, so the same (space,
+  /// max_tiles, model) request always yields the same tiles with the same
+  /// ids — the property checkpoint/resume relies on. Tiles are *emitted*
+  /// in snake order (alternate bands reversed), so consecutive work units
+  /// stay spatially adjacent. Rejects empty grids (either axis with no
+  /// values), zero tiles, and a `model` not built over exactly `space`.
   static Result<std::vector<TileSpec>> Partition(const ParameterSpace& space,
-                                                 size_t max_tiles);
-
-  /// Cost-balanced partition: the same tile-grid shape (and therefore the
-  /// same tile count) as `Partition`, but band boundaries are placed by
-  /// cumulative cost under `model` instead of by cell count — row bands
-  /// each carry ~1/gy of the total cost, and each band's x cuts carry
-  /// ~1/gx of that band's. Where cost is skewed the expensive corner gets
-  /// geometrically finer tiles, which is what lets equal-cost tiles exist
-  /// at all. Shard ids stay row-major over the tile grid (stable for a
-  /// given space, max_tiles, and model — checkpoint/resume still works),
-  /// but tiles are *emitted* in snake order (alternate bands reversed), so
-  /// consecutive work units stay spatially adjacent. `model` must be built
-  /// over exactly `space`.
-  static Result<std::vector<TileSpec>> PartitionWeighted(
-      const ParameterSpace& space, size_t max_tiles,
-      const CellCostModel& model);
+                                                 size_t max_tiles,
+                                                 const CellCostModel& model);
 };
 
 /// The sub-space a tile sweeps: the parent's axes restricted to the tile's

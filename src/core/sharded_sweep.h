@@ -37,9 +37,9 @@ Status EnsureDirectory(const std::string& path);
 /// through `SweepEngine::Run` on the serial backend — and writes it
 /// atomically to `path`: one cell layer per study output (named per
 /// `StudyLayerNames`), stamping the sweep's wall-clock seconds into the
-/// tile's metadata (the measured-cost feedback later runs reschedule
-/// from). The body of both worker modes and of the
-/// `sweep_worker` executable. `warm_policy` is the warm layer's policy for
+/// tile's metadata (informational: `map_cat --info` shows it, no scheduler
+/// reads it). The body of both worker modes and of the `sweep_worker`
+/// executable. `warm_policy` is the warm layer's policy for
 /// `kWarmColdDelta` and ignored for plain tiles (which sweep under
 /// `ctx->warmup`, as always). A non-null `cell_cache` is consulted per
 /// cell and populated with the tile's measurements (in this process's

@@ -27,6 +27,7 @@
 #include "core/cell_cache.h"
 #include "core/map_io.h"
 #include "core/sharded_sweep.h"
+#include "core/sweep_cost.h"
 #include "core/sweep_telemetry.h"
 #include "engine/query.h"
 
@@ -437,23 +438,13 @@ Result<std::string> ReadErrFile(const std::string& tile_path) {
 /// describes exactly the tile the current plan expects — same rectangle,
 /// same parent grid, same plans, same study layers. Anything else (a tile
 /// from an older configuration, a plain tile in a warm-cold directory, a
-/// damaged file) must be recomputed. A tile the measured cost-model scan
-/// already read and validated is taken from `preloaded` instead of reading
-/// (and checksumming) the file a second time.
-Result<MapTile> LoadValidTile(std::map<std::string, MapTile>* preloaded,
-                              const std::string& path,
+/// damaged file) must be recomputed.
+Result<MapTile> LoadValidTile(const std::string& path,
                               const TileSpec& expected,
                               const ParameterSpace& space,
                               const std::vector<std::string>& labels,
                               StudyKind study) {
-  auto tile = [&]() -> Result<MapTile> {
-    if (auto it = preloaded->find(path); it != preloaded->end()) {
-      Result<MapTile> found(std::move(it->second));
-      preloaded->erase(it);
-      return found;
-    }
-    return ReadMapTileFile(path);
-  }();
+  auto tile = ReadMapTileFile(path);
   RM_RETURN_IF_ERROR(tile.status());
   const MapTile& t = tile.value();
   if (!(t.spec == expected) || !(t.parent_space == space) ||
@@ -677,7 +668,7 @@ Result<MapTile> MaterializeCachedTile(const ShardCacheView& view,
 }
 
 /// The sharded-process backend: partitions the grid with `ShardPlanner`
-/// under the request's cost model, skips tiles already valid on disk
+/// under the analytic cost model, skips tiles already valid on disk
 /// (unless resume is off), computes the rest through a pull-based work
 /// queue — up to num_workers subprocesses in flight, each freed worker
 /// slot immediately pulling the heaviest pending tile — and merges the
@@ -720,43 +711,15 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
                        labels);
     cached_flags = cache_view->CachedFlags();
   }
-  // The scheduling model. Measured mode scans the checkpoint directory
-  // *before* anything is recomputed, so the partition reflects what the
-  // previous run's tiles actually cost; with no usable timings it degrades
-  // to the analytic prior, never to an error.
-  std::vector<std::pair<std::string, MapTile>> prescanned;
-  auto model = [&]() -> Result<CellCostModel> {
-    switch (opts.cost_model) {
-      case CostModelKind::kUniform:
-        return CellCostModel::Uniform(space);
-      case CostModelKind::kAnalytic:
-        return CellCostModel::Analytic(space);
-      case CostModelKind::kMeasured:
-        // When resuming, keep what the scan read: the checkpoint pass
-        // below can then validate those tiles from memory instead of
-        // reading and checksumming every file twice.
-        return MeasuredCostModelFromDir(opts.tile_dir, space,
-                                        opts.resume ? &prescanned : nullptr);
-    }
-    return Status::InvalidArgument("unknown cost model kind");
-  }();
+  // The scheduling model: the analytic selectivity prior, with cached
+  // cells costed as hits, not measurements — at a vanishing epsilon the
+  // partition cuts its tiles around the cells that still need measuring.
+  auto model = CellCostModel::Analytic(space);
   RM_RETURN_IF_ERROR(model.status());
   if (cache_view.has_value()) {
-    // Cached cells are hits, not measurements: costed at a vanishing
-    // epsilon, the weighted partition cuts its tiles around the cells that
-    // still need measuring (uniform mode partitions by area regardless,
-    // as it always did).
     model = model.value().WithDiscountedCells(cached_flags);
   }
-  std::map<std::string, MapTile> preloaded;
-  for (auto& [path, tile] : prescanned) {
-    preloaded.emplace(path, std::move(tile));
-  }
-  prescanned.clear();
-  auto tiles = opts.cost_model == CostModelKind::kUniform
-                   ? ShardPlanner::Partition(space, num_tiles)
-                   : ShardPlanner::PartitionWeighted(space, num_tiles,
-                                                     model.value());
+  auto tiles = ShardPlanner::Partition(space, num_tiles, model.value());
   RM_RETURN_IF_ERROR(tiles.status());
   RM_RETURN_IF_ERROR(EnsureDirectory(opts.tile_dir));
 
@@ -812,8 +775,7 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
   for (const TileSpec& t : tiles.value()) {
     const std::string path = opts.tile_dir + "/" + TileFileName(t.shard_id);
     auto tile = opts.resume
-                    ? LoadValidTile(&preloaded, path, t, space, labels,
-                                    req.study)
+                    ? LoadValidTile(path, t, space, labels, req.study)
                     : Result<MapTile>(Status::NotFound("resume disabled"));
     if (tile.ok()) {
       loaded.push_back(std::move(tile).value());
@@ -956,9 +918,8 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
 
   if (opts.verbose && !todo.empty()) {
     std::fprintf(stderr,
-                 "  shard: %s cost model, %s study, %zu pending tiles "
+                 "  shard: %s study, %zu pending tiles "
                  "(heaviest %.3g, lightest %.3g relative cost)\n",
-                 CostModelKindName(opts.cost_model),
                  StudyKindName(req.study), todo.size(),
                  model.value().TileCost(todo.front()),
                  model.value().TileCost(todo.back()));
@@ -1046,16 +1007,12 @@ Result<SweepOutcome> RunShardedStudy(RunContext* ctx,
         // tile right here on the forked copy of the parent's environment.
         if (!opts.worker_command.empty()) {
           std::vector<std::string> args = opts.worker_command;
-          // The tile count is part of a tile id's meaning, and only this
-          // side knows the resolved value — the worker must never re-derive
-          // it from a default that could drift. The rectangle itself rides
-          // along too: with cost-weighted partitioning the boundaries
-          // depend on the model, so the coordinator's exact cuts are the
-          // contract, not something a worker recomputes. The study (and
-          // its warmup policy, when not cold) completes the contract: a
-          // worker computing a different study under the right tile name
-          // would poison the merge.
-          args.push_back("--tiles=" + std::to_string(num_tiles));
+          // The rectangle rides along: the cost-weighted boundaries depend
+          // on the coordinator's model (cache discounts included), so its
+          // exact cuts are the contract, not something a worker
+          // recomputes. The study (and its warmup policy, when not cold)
+          // completes the contract: a worker computing a different study
+          // under the right tile name would poison the merge.
           args.push_back("--tile=" + std::to_string(t.shard_id));
           args.push_back("--rect=" + RectSpecString(t));
           args.push_back("--study=" + std::string(StudyKindName(req.study)));

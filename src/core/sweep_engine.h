@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/robustness_map.h"
 #include "core/sweep.h"
-#include "core/sweep_cost.h"
 #include "engine/plan.h"
 #include "io/run_context.h"
 
@@ -78,28 +77,14 @@ struct ShardedSweepOptions {
   /// Empty (the default): workers are forked children of this process,
   /// computing their tiles with the already-built executor — the in-process
   /// subprocess mode benches and tests use. Non-empty: each tile spawns
-  /// fork+exec of this argv with "--tiles=<count>", "--tile=<id>",
-  /// "--rect=<x0:x1:y0:y1>", "--study=<name>", "--out=<path>" — and
-  /// "--warmup=<spec>" when the study's policy is not cold — appended (the
-  /// `sweep_worker` contract — the resolved tile count, its exact
-  /// rectangle, and the study ride along so worker and coordinator can
-  /// never compute different things under the same tile name), for
-  /// coordinators whose workers must build their own environment.
+  /// fork+exec of this argv with "--tile=<id>", "--rect=<x0:x1:y0:y1>",
+  /// "--study=<name>", "--out=<path>" — and "--warmup=<spec>" when the
+  /// study's policy is not cold — appended (the `sweep_worker` contract —
+  /// the tile's exact rectangle and the study ride along so worker and
+  /// coordinator can never compute different things under the same tile
+  /// name), for coordinators whose workers must build their own
+  /// environment.
   std::vector<std::string> worker_command{};
-
-  /// How tiles are sized and dispatched. `kUniform` reproduces the
-  /// pre-cost-layer equal-area tiles in shard-id order. `kAnalytic` (the
-  /// default) cuts cost-balanced tiles from the selectivity prior and
-  /// dispatches the heaviest pending tile first, so the sweep no longer
-  /// finishes at the speed of its unluckiest tile. `kMeasured`
-  /// additionally rebuilds the model from per-tile wall times found in
-  /// `tile_dir` before partitioning — a repeated sweep reschedules from
-  /// what cells actually cost here, not from the prior. (Changing the
-  /// model between runs usually moves tile boundaries, which resume then
-  /// treats as a reconfiguration and recomputes; measured mode is a
-  /// re-balancing run, not a resume accelerator.) The merged map is
-  /// bit-identical under every setting — scheduling never touches values.
-  CostModelKind cost_model = CostModelKind::kAnalytic;
 
   /// Internal to progressive sweeps: the request's `space` is the stride-k
   /// sublattice of the grid the worker flags describe (see

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sweep_cost.h"
 #include "testing/map_expect.h"
 
 namespace robustmap {
@@ -354,7 +355,10 @@ TEST(MergeTilesTest, MergesEveryLayerAndChecksLayerAgreement) {
   MapTile full = MultiLayerTile(space, labels);
   // Slice the three full-grid layers into per-tile pieces, then merge the
   // pieces back: every layer must reassemble bit-identically.
-  auto tiles = ShardPlanner::Partition(space, 4).ValueOrDie();
+  auto tiles =
+      ShardPlanner::Partition(space, 4,
+                              CellCostModel::Uniform(space).ValueOrDie())
+          .ValueOrDie();
   std::vector<MapTile> pieces;
   for (const TileSpec& t : tiles) {
     ParameterSpace sub = SliceSpace(space, t).ValueOrDie();
@@ -407,7 +411,10 @@ TEST(MergeTilesTest, ReassemblesPartitionedMap) {
   ParameterSpace space = SmallSpace();
   std::vector<std::string> labels = {"scan", "idx.a", "idx.b"};
   RobustnessMap full = FillMap(space, labels);
-  auto tiles = ShardPlanner::Partition(space, 4).ValueOrDie();
+  auto tiles =
+      ShardPlanner::Partition(space, 4,
+                              CellCostModel::Uniform(space).ValueOrDie())
+          .ValueOrDie();
   std::vector<MapTile> pieces;
   for (const TileSpec& t : tiles) {
     ParameterSpace sub = SliceSpace(space, t).ValueOrDie();

@@ -15,6 +15,13 @@ ParameterSpace Grid(int x_min_log2, int y_min_log2) {
                               Axis::Selectivity("b", y_min_log2, 0));
 }
 
+/// The production partition: cost-balanced under the analytic prior.
+Result<std::vector<TileSpec>> AnalyticPartition(const ParameterSpace& space,
+                                                size_t max_tiles) {
+  return ShardPlanner::Partition(
+      space, max_tiles, CellCostModel::Analytic(space).ValueOrDie());
+}
+
 /// Every grid point must be covered by exactly one tile.
 void ExpectExactCover(const ParameterSpace& space,
                       const std::vector<TileSpec>& tiles) {
@@ -37,18 +44,22 @@ void ExpectExactCover(const ParameterSpace& space,
 
 TEST(ShardPlannerTest, CoversGridExactlyAtManyTileCounts) {
   ParameterSpace space = Grid(-8, -6);  // 9 x 7
-  for (size_t tiles : {1u, 2u, 3u, 7u, 8u, 13u, 63u, 1000u}) {
-    auto plan = ShardPlanner::Partition(space, tiles).ValueOrDie();
-    SCOPED_TRACE(tiles);
-    EXPECT_LE(plan.size(), tiles);
-    EXPECT_FALSE(plan.empty());
-    ExpectExactCover(space, plan);
+  for (const CellCostModel& model :
+       {CellCostModel::Uniform(space).ValueOrDie(),
+        CellCostModel::Analytic(space).ValueOrDie()}) {
+    for (size_t tiles : {1u, 2u, 3u, 7u, 8u, 13u, 63u, 1000u}) {
+      auto plan = ShardPlanner::Partition(space, tiles, model).ValueOrDie();
+      SCOPED_TRACE(tiles);
+      EXPECT_LE(plan.size(), tiles);
+      EXPECT_FALSE(plan.empty());
+      ExpectExactCover(space, plan);
+    }
   }
 }
 
 TEST(ShardPlannerTest, OneDSpaceSplitsAlongX) {
   ParameterSpace line = ParameterSpace::OneD(Axis::Selectivity("a", -10, 0));
-  auto plan = ShardPlanner::Partition(line, 4).ValueOrDie();
+  auto plan = AnalyticPartition(line, 4).ValueOrDie();
   EXPECT_EQ(plan.size(), 4u);
   ExpectExactCover(line, plan);
   for (const TileSpec& t : plan) {
@@ -59,15 +70,17 @@ TEST(ShardPlannerTest, OneDSpaceSplitsAlongX) {
 
 TEST(ShardPlannerTest, MoreTilesThanPointsIsCappedByTheGrid) {
   ParameterSpace space = Grid(-2, -2);  // 3 x 3 = 9 points
-  auto plan = ShardPlanner::Partition(space, 1000).ValueOrDie();
+  auto plan = AnalyticPartition(space, 1000).ValueOrDie();
   EXPECT_EQ(plan.size(), 9u);  // one tile per point, never an empty tile
   ExpectExactCover(space, plan);
 }
 
 TEST(ShardPlannerTest, StableIdsAcrossInvocations) {
   ParameterSpace space = Grid(-8, -8);
-  auto a = ShardPlanner::Partition(space, 8).ValueOrDie();
-  auto b = ShardPlanner::Partition(space, 8).ValueOrDie();
+  // 8 tiles over 9 rows: one tile per band, so snake emission is the
+  // row-major id order.
+  auto a = AnalyticPartition(space, 8).ValueOrDie();
+  auto b = AnalyticPartition(space, 8).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]);
@@ -76,7 +89,7 @@ TEST(ShardPlannerTest, StableIdsAcrossInvocations) {
 }
 
 TEST(ShardPlannerTest, ZeroTilesIsAnError) {
-  auto plan = ShardPlanner::Partition(Grid(-4, -4), 0);
+  auto plan = AnalyticPartition(Grid(-4, -4), 0);
   EXPECT_FALSE(plan.ok());
   EXPECT_TRUE(plan.status().IsInvalidArgument());
 }
@@ -84,9 +97,11 @@ TEST(ShardPlannerTest, ZeroTilesIsAnError) {
 TEST(ShardPlannerTest, EmptyGridIsAnError) {
   // A default-constructed space is the 0-point grid; the OneD/TwoD
   // factories assert non-empty axes in Debug builds, so the Status-based
-  // rejection must be reachable without them.
+  // rejection must be reachable without them. A model cannot be built
+  // over the empty grid, so one over a real grid stands in.
   ParameterSpace empty;
-  auto plan = ShardPlanner::Partition(empty, 4);
+  auto model = CellCostModel::Analytic(Grid(-4, -4)).ValueOrDie();
+  auto plan = ShardPlanner::Partition(empty, 4, model);
   EXPECT_FALSE(plan.ok());
   EXPECT_TRUE(plan.status().IsInvalidArgument());
 }
@@ -96,8 +111,7 @@ TEST(ShardPlannerWeightedTest, CoversGridExactlyAndKeepsDenseIds) {
   auto model = CellCostModel::Analytic(space).ValueOrDie();
   for (size_t tiles : {1u, 2u, 3u, 7u, 13u, 63u, 1000u}) {
     SCOPED_TRACE(tiles);
-    auto plan =
-        ShardPlanner::PartitionWeighted(space, tiles, model).ValueOrDie();
+    auto plan = ShardPlanner::Partition(space, tiles, model).ValueOrDie();
     EXPECT_LE(plan.size(), tiles);
     EXPECT_FALSE(plan.empty());
     ExpectExactCover(space, plan);
@@ -109,28 +123,15 @@ TEST(ShardPlannerWeightedTest, CoversGridExactlyAndKeepsDenseIds) {
   }
 }
 
-TEST(ShardPlannerWeightedTest, SameTileCountAsUniformPartition) {
-  // Resume directories key tiles by (id, rectangle); the weighted planner
-  // keeps the uniform planner's tile-grid shape, so switching models never
-  // changes how many tiles a (space, max_tiles) request produces.
-  ParameterSpace space = Grid(-8, -8);
-  auto model = CellCostModel::Analytic(space).ValueOrDie();
-  for (size_t tiles : {1u, 4u, 8u, 12u, 64u}) {
-    auto uniform = ShardPlanner::Partition(space, tiles).ValueOrDie();
-    auto weighted =
-        ShardPlanner::PartitionWeighted(space, tiles, model).ValueOrDie();
-    EXPECT_EQ(uniform.size(), weighted.size()) << tiles << " tiles";
-  }
-}
-
 TEST(ShardPlannerWeightedTest, BalancesCostBetterThanUniform) {
   // A strongly skewed grid: the analytic model concentrates cost near
-  // sel=1, so uniform row bands leave one tile holding most of the work.
+  // sel=1, so the flat model's equal-area row bands leave one tile holding
+  // most of the work.
   ParameterSpace space = Grid(-12, -12);  // 13 x 13
   auto model = CellCostModel::Analytic(space).ValueOrDie();
-  auto uniform = ShardPlanner::Partition(space, 4).ValueOrDie();
-  auto weighted =
-      ShardPlanner::PartitionWeighted(space, 4, model).ValueOrDie();
+  auto flat = CellCostModel::Uniform(space).ValueOrDie();
+  auto uniform = ShardPlanner::Partition(space, 4, flat).ValueOrDie();
+  auto weighted = ShardPlanner::Partition(space, 4, model).ValueOrDie();
   auto max_cost = [&](const std::vector<TileSpec>& tiles) {
     double m = 0;
     for (const TileSpec& t : tiles) m = std::max(m, model.TileCost(t));
@@ -151,31 +152,12 @@ TEST(ShardPlannerWeightedTest, BalancesCostBetterThanUniform) {
   EXPECT_LT(y_span(*last_band), y_span(*first_band));
 }
 
-TEST(ShardPlannerWeightedTest, UniformModelReproducesUniformRectangles) {
-  // Under a flat model the cost cuts and the count cuts agree, so the two
-  // planners emit the same rectangles (order aside).
-  ParameterSpace space = Grid(-7, -7);
-  auto flat = CellCostModel::Uniform(space).ValueOrDie();
-  auto uniform = ShardPlanner::Partition(space, 8).ValueOrDie();
-  auto weighted =
-      ShardPlanner::PartitionWeighted(space, 8, flat).ValueOrDie();
-  ASSERT_EQ(uniform.size(), weighted.size());
-  auto by_id = [](const TileSpec& a, const TileSpec& b) {
-    return a.shard_id < b.shard_id;
-  };
-  std::sort(uniform.begin(), uniform.end(), by_id);
-  std::sort(weighted.begin(), weighted.end(), by_id);
-  for (size_t i = 0; i < uniform.size(); ++i) {
-    EXPECT_EQ(uniform[i], weighted[i]) << "tile " << i;
-  }
-}
-
 TEST(ShardPlannerWeightedTest, SnakeOrderKeepsBandsAdjacent) {
   ParameterSpace space = Grid(-7, -7);  // 8 x 8
   auto model = CellCostModel::Analytic(space).ValueOrDie();
   // 16 tiles over 8 rows: a 2-wide tile grid, so snake order alternates
   // x-direction per band.
-  auto plan = ShardPlanner::PartitionWeighted(space, 16, model).ValueOrDie();
+  auto plan = ShardPlanner::Partition(space, 16, model).ValueOrDie();
   ASSERT_EQ(plan.size(), 16u);
   for (size_t i = 0; i + 1 < plan.size(); ++i) {
     const TileSpec& a = plan[i];
@@ -194,14 +176,14 @@ TEST(ShardPlannerWeightedTest, SnakeOrderKeepsBandsAdjacent) {
 TEST(ShardPlannerWeightedTest, StableAcrossInvocationsAndValidatesModel) {
   ParameterSpace space = Grid(-8, -8);
   auto model = CellCostModel::Analytic(space).ValueOrDie();
-  auto a = ShardPlanner::PartitionWeighted(space, 8, model).ValueOrDie();
-  auto b = ShardPlanner::PartitionWeighted(space, 8, model).ValueOrDie();
+  auto a = ShardPlanner::Partition(space, 8, model).ValueOrDie();
+  auto b = ShardPlanner::Partition(space, 8, model).ValueOrDie();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 
   ParameterSpace other = Grid(-4, -4);
-  auto mismatch = ShardPlanner::PartitionWeighted(
-      other, 4, model);  // model built over `space`
+  auto mismatch =
+      ShardPlanner::Partition(other, 4, model);  // model built over `space`
   EXPECT_FALSE(mismatch.ok());
   EXPECT_TRUE(mismatch.status().IsInvalidArgument());
 }

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_cache.h"
 #include "core/sweep_engine.h"
 #include "core/sweep_telemetry.h"
 #include "testing/map_expect.h"
@@ -90,6 +91,10 @@ TEST(RunShardedSweepTest, MergedMapBitIdenticalAcrossWorkerCounts) {
     }
     EXPECT_EQ(stats.tiles_reused, 0u);
     ExpectMapsBitIdentical(reference, merged.map());
+    // Every slot that ran a tile accounted busy time.
+    ASSERT_FALSE(stats.worker_busy_seconds.empty());
+    for (double busy : stats.worker_busy_seconds) EXPECT_GT(busy, 0.0);
+    EXPECT_GE(stats.busy_balance_ratio(), 1.0);
   }
 }
 
@@ -109,43 +114,9 @@ TEST(RunShardedSweepTest, MoreTilesThanWorkersStillMergesExactly) {
   ExpectMapsBitIdentical(reference, merged.map());
 }
 
-TEST(RunShardedSweepTest, AllCostModelsMergeTheIdenticalMap) {
-  ProcEnv env;
-  Executor executor(env.db());
-  ParameterSpace space = SmallGrid();
-  auto reference = SerialMap(env.ctx(), executor, space);
-
-  // The measured leg reuses the analytic leg's directory, so the wall
-  // times that run stamped into its tiles are the feedback being tested.
-  std::string analytic_dir = FreshTileDir("model_analytic");
-  for (CostModelKind kind :
-       {CostModelKind::kUniform, CostModelKind::kAnalytic,
-        CostModelKind::kMeasured}) {
-    ShardedSweepOptions opts;
-    opts.tile_dir = kind == CostModelKind::kUniform
-                        ? FreshTileDir("model_uniform")
-                        : analytic_dir;
-    opts.num_workers = 4;
-    opts.num_tiles = 6;
-    opts.resume = false;  // measured mode moves boundaries; recompute all
-    opts.cost_model = kind;
-    SweepOutcome merged =
-        Sharded(env.ctx(), executor, space, opts).ValueOrDie();
-    const ShardedSweepStats& stats = merged.sharded_stats;
-    SCOPED_TRACE(CostModelKindName(kind));
-    EXPECT_EQ(stats.tiles_computed, stats.tiles_total);
-    ExpectMapsBitIdentical(reference, merged.map());
-    // Every slot that ran a tile accounted busy time.
-    ASSERT_FALSE(stats.worker_busy_seconds.empty());
-    for (double busy : stats.worker_busy_seconds) EXPECT_GT(busy, 0.0);
-    EXPECT_GE(stats.busy_balance_ratio(), 1.0);
-  }
-}
-
 TEST(RunShardedSweepTest, WeightedTilesResumeLikeUniformOnes) {
   // The weighted partition is deterministic for a fixed (space, tiles,
-  // model), so checkpoint/resume must work exactly as it does for uniform
-  // tiles: a second run reuses everything.
+  // model), so a second run over the same directory reuses everything.
   ProcEnv env;
   Executor executor(env.db());
   ParameterSpace space = SmallGrid();
@@ -153,7 +124,6 @@ TEST(RunShardedSweepTest, WeightedTilesResumeLikeUniformOnes) {
   opts.tile_dir = FreshTileDir("weighted_resume");
   opts.num_workers = 3;
   opts.num_tiles = 5;
-  opts.cost_model = CostModelKind::kAnalytic;
 
   SweepOutcome map1 = Sharded(env.ctx(), executor, space, opts).ValueOrDie();
   const ShardedSweepStats& first = map1.sharded_stats;
@@ -164,6 +134,45 @@ TEST(RunShardedSweepTest, WeightedTilesResumeLikeUniformOnes) {
   EXPECT_EQ(second.tiles_computed, 0u);
   EXPECT_EQ(second.tiles_reused, second.tiles_total);
   ExpectMapsBitIdentical(map1.map(), map2.map());
+}
+
+TEST(RunShardedSweepTest, FullyCachedRerunDispatchesNothing) {
+  // A first sharded run publishes every merged cell into the cache; a
+  // rerun into a fresh tile directory then finds every tile fully cached,
+  // materializes it from the cache without spawning a worker, and must
+  // still merge the serial bytes.
+  ProcEnv env;
+  Executor executor(env.db());
+  ParameterSpace space = SmallGrid();
+  auto reference = SerialMap(env.ctx(), executor, space);
+
+  CellResultCache cache;  // in-memory: never attached, never flushed
+  ShardedSweepOptions opts;
+  opts.tile_dir = FreshTileDir("cache_fill");
+  opts.num_workers = 3;
+  opts.num_tiles = 5;
+  const auto run = [&] {
+    return SweepEngine::Run(env.ctx(), executor,
+                            {.plans = StudySubset(),
+                             .space = space,
+                             .backend = BackendKind::kShardedProcess,
+                             .sharded = opts,
+                             .cell_cache = &cache})
+        .ValueOrDie();
+  };
+  SweepOutcome filled = run();
+  EXPECT_EQ(filled.sharded_stats.tiles_computed,
+            filled.sharded_stats.tiles_total);
+  ExpectMapsBitIdentical(reference, filled.map());
+  EXPECT_EQ(cache.size(), StudySubset().size() * space.num_points());
+
+  opts.tile_dir = FreshTileDir("cache_rerun");
+  SweepOutcome rerun = run();
+  const ShardedSweepStats& stats = rerun.sharded_stats;
+  EXPECT_EQ(stats.tiles_computed, 0u);
+  EXPECT_EQ(stats.workers_spawned, 0u);
+  EXPECT_EQ(stats.tiles_reused, stats.tiles_total);
+  ExpectMapsBitIdentical(reference, rerun.map());
 }
 
 TEST(ShardedSweepStatsTest, BalanceRatioIsMaxOverMean) {
